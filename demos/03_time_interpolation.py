@@ -4,18 +4,15 @@ continuous-time transition matrices.
 A grid of boundary matrices T_0h, T_1h, ... is learned; an arbitrary time
 difference gets the linear blend of its two enclosing boundaries, so an
 event 1.6h in the past is weighted 0.4*T_1h + 0.6*T_2h. Differences beyond
-the grid clamp to the last boundary.
+the grid clamp to the last boundary. The forward pass is RLBL's: only the
+window matrices come from the grid.
 """
 
 import numpy as np
 
 from rlbl.data import UserSequence
-from rlbl.time_aware import (
-    hidden_chain_ta,
-    init_ta_rlbl_params,
-    interp_matrix,
-    interp_weights,
-)
+from rlbl.model import hidden_chain
+from rlbl.time_aware import init_ta_rlbl_params, interp_matrix, interp_weights
 
 HOUR = 3600.0
 params = init_ta_rlbl_params(n_users=2, n_items=10, n_behaviors=2,
@@ -43,12 +40,12 @@ ts = np.cumsum(rng.integers(900, 7200, size=length)).astype(np.int64)
 
 seq = UserSequence(0, items, behaviors, ts)
 shifted = UserSequence(0, items, behaviors, ts + 123_456_789)
-H = hidden_chain_ta(params, seq, length)
-H_shift = hidden_chain_ta(params, shifted, length)
+H = hidden_chain(params, seq, length)
+H_shift = hidden_chain(params, shifted, length)
 print(f"time-shift invariance (bit level): {np.array_equal(H, H_shift)}")
 
 # squeezing the gaps changes the states: recency now matters
 squeezed = UserSequence(0, items, behaviors, (ts // 10).astype(np.int64))
-H_sq = hidden_chain_ta(params, squeezed, length)
+H_sq = hidden_chain(params, squeezed, length)
 print(f"max |h| change after dividing all gaps by 10: "
       f"{np.max(np.abs(H - H_sq)):.4f}")

@@ -28,7 +28,7 @@ k = 6
 inst = TrainingInstance(
     user_id=0, position=k, behavior=int(seq.behaviors[k]),
     pos_item=int(seq.items[k]),
-    neg_item=sample_negative(corpus, 0, k, int(seq.behaviors[k]), rng),
+    neg_item=sample_negative(corpus.n_items, int(seq.items[k]), rng),
 )
 
 for label, params in (

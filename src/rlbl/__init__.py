@@ -10,14 +10,7 @@ evaluation, dataset ingestion, simple baselines and a command-line tool.
 
 from rlbl.data import Corpus, Event, UserSequence, build_corpus, length_bucket
 from rlbl.model import RlblParams, hidden_at, hidden_chain, init_rlbl_params, score, score_all_items
-from rlbl.time_aware import (
-    TaRlblParams,
-    TimeBinGrid,
-    hidden_at_ta,
-    hidden_chain_ta,
-    init_ta_rlbl_params,
-    interp_matrix,
-)
+from rlbl.time_aware import TaRlblParams, TimeBinGrid, init_ta_rlbl_params, interp_matrix
 from rlbl.training import TrainConfig, bpr_pair_loss, gradient_check, sgd_epoch
 from rlbl.evaluation import EvalConfig, RankingReport, evaluate, instance_metrics, rank_of_target
 from rlbl.ingestion import SynthSpec, generate_synthetic, parse_generic, parse_movielens, write_generic
@@ -39,8 +32,6 @@ __all__ = [
     "score_all_items",
     "TaRlblParams",
     "TimeBinGrid",
-    "hidden_at_ta",
-    "hidden_chain_ta",
     "init_ta_rlbl_params",
     "interp_matrix",
     "TrainConfig",

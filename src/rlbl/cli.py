@@ -54,7 +54,6 @@ DEFAULT_CONFIG = {
         "regularize_u0": True,
         "train_behavior_mats": True,
         "bptt_truncation": None,
-        "shared_reg": "per-epoch",
         "clip_norm": 5.0,
     },
     "eval": {"cutoffs": [1, 2, 5, 10], "buckets": [50, 200], "exclude_seen": False},
@@ -106,6 +105,15 @@ def load_config(path, seed_override=None, out_override=None):
         raise ConfigError("dataset.path is required for non-synthetic datasets")
     if ds["format"] != "synthetic" and not Path(ds["path"]).exists():
         raise ConfigError(f"dataset.path does not exist: {ds['path']}")
+    cols, names = ds["columns"], DEFAULT_CONFIG["dataset"]["columns"]
+    if (not isinstance(cols, dict) or set(cols) != set(names)
+            or not all(type(c) is int and c >= 0 for c in cols.values())):
+        raise ConfigError(f"dataset.columns must map exactly {', '.join(names)} "
+                          f"to non-negative ints: {cols!r}")
+    if ds["behavior_map"] is not None and not isinstance(ds["behavior_map"], dict):
+        raise ConfigError("dataset.behavior_map must be null or a mapping")
+    if not isinstance(ds["synth"], dict):
+        raise ConfigError("dataset.synth must be a mapping")
     return cfg
 
 
@@ -165,7 +173,6 @@ def train_config(cfg):
         bptt_truncation=t["bptt_truncation"],
         regularize_u0=t["regularize_u0"],
         train_behavior_mats=t["train_behavior_mats"] and kind != "linear-rnn",
-        shared_reg=t["shared_reg"],
         clip_norm=t["clip_norm"],
     )
 
@@ -193,7 +200,7 @@ def _write_resolved(cfg, out_dir):
         yaml.safe_dump(cfg, fh, sort_keys=True)
 
 
-def cmd_train(cfg, threads=1):
+def cmd_train(cfg):
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = load_corpus(cfg)
@@ -213,9 +220,9 @@ def cmd_train(cfg, threads=1):
     log_lines = ["epoch\tmean_loss\twall_time\tmean_step\tvalid_map"]
 
     for epoch in range(tcfg.epochs):
-        rep = training.sgd_epoch(params, corpus, tcfg, rng, threads=threads, epoch=epoch)
+        rep = training.sgd_epoch(params, corpus, tcfg, rng, epoch=epoch)
         try:
-            valid_map = evaluation.evaluate(_scorer(params), corpus, vcfg, threads=threads).map
+            valid_map = evaluation.evaluate(_scorer(params), corpus, vcfg).map
         except evaluation.EmptyEval:
             valid_map = float("nan")
         log_lines.append(f"{epoch}\t{rep.mean_loss:.6f}\t{rep.wall_time:.3f}\t"
@@ -238,13 +245,13 @@ def cmd_train(cfg, threads=1):
     return EXIT_OK
 
 
-def cmd_evaluate(cfg, snapshot_path, threads=1):
+def cmd_evaluate(cfg, snapshot_path):
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     kind, params, bound_corpus = snapshot.load_snapshot(snapshot_path)
     corpus = bound_corpus if bound_corpus is not None else load_corpus(cfg)
     _check_dims(params, corpus)
-    report = evaluation.evaluate(_scorer(params), corpus, eval_config(cfg), threads=threads)
+    report = evaluation.evaluate(_scorer(params), corpus, eval_config(cfg))
     (out_dir / "report.tsv").write_text(evaluation.report_table(report), encoding="utf-8")
     (out_dir / "report.txt").write_text(evaluation.report_summary(report), encoding="utf-8")
     print(evaluation.report_summary(report), end="")
@@ -267,7 +274,7 @@ class UserError(KeyError):
     pass
 
 
-def cmd_predict(snapshot_path, user, behavior, top_k, query_time=None):
+def cmd_predict(snapshot_path, user, behavior, top_k):
     kind, params, corpus = snapshot.load_snapshot(snapshot_path)
     if corpus is None:
         raise snapshot.SnapshotError("snapshot carries no corpus binding; retrain with it")
@@ -275,7 +282,6 @@ def cmd_predict(snapshot_path, user, behavior, top_k, query_time=None):
         uid = corpus.user_ids.index(str(user))
     except ValueError:
         raise UserError(f"unknown user {user!r}") from None
-    del query_time  # scoring conditions on the newest observed timestamp
     seq = corpus.sequences[uid]
     scorer = _scorer(params)
     ranked = scoring.top_k_items(scorer, seq, len(seq), int(behavior), top_k)
@@ -307,7 +313,7 @@ def run_gradcheck(seed=0, tolerance=1e-4, corrupt=False):
         inst = training.TrainingInstance(
             user_id=0, position=k, behavior=int(seq.behaviors[k]),
             pos_item=int(seq.items[k]),
-            neg_item=training.sample_negative(corpus, 0, k, int(seq.behaviors[k]), rng),
+            neg_item=training.sample_negative(corpus.n_items, int(seq.items[k]), rng),
         )
         injected = None
         if corrupt:
@@ -343,7 +349,6 @@ def cmd_gen_synth(cfg, out_path):
 def build_parser():
     parser = argparse.ArgumentParser(prog="rlbl", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,7 +364,6 @@ def build_parser():
     p.add_argument("--user", required=True)
     p.add_argument("--behavior", type=int, required=True)
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--query-time", type=int, default=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both model kinds")
 
@@ -374,20 +378,19 @@ def main(argv=None):
     try:
         if args.command == "train":
             cfg = load_config(args.config, args.seed, args.out)
-            return cmd_train(cfg, threads=args.threads)
+            return cmd_train(cfg)
         if args.command == "evaluate":
             cfg = load_config(args.config, args.seed, args.out)
-            return cmd_evaluate(cfg, args.snapshot, threads=args.threads)
+            return cmd_evaluate(cfg, args.snapshot)
         if args.command == "predict":
-            return cmd_predict(args.snapshot, args.user, args.behavior,
-                               args.top_k, args.query_time)
+            return cmd_predict(args.snapshot, args.user, args.behavior, args.top_k)
         if args.command == "gradcheck":
             return cmd_gradcheck(seed=args.seed or 0)
         if args.command == "gen-synth":
             cfg = load_config(args.config, args.seed, args.out)
             return cmd_gen_synth(cfg, args.out_file)
         raise ConfigError(f"unknown command {args.command!r}")
-    except training.NumericError as exc:
+    except model.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ingestion.IoError, snapshot.SnapshotError, OSError) as exc:

@@ -75,16 +75,6 @@ class Corpus:
         return self.sequences[user_id]
 
 
-@dataclass(frozen=True)
-class PredictionQuery:
-    """Ask for the item at position k+1 given the history up to position k."""
-
-    user_id: int
-    position: int
-    behavior_id: int
-    query_time: int | None = None
-
-
 def build_corpus(events, split_fracs=(0.7, 0.1)):
     """Group, sort, densify and split a flat event list into a Corpus.
 

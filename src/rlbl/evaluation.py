@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rlbl.data import length_bucket
+from rlbl.scoring import finite_scores
 
 
 class EmptyEval(ValueError):
@@ -83,50 +84,36 @@ def eval_positions(corpus, user_id, config):
             yield k
 
 
-def evaluate(scorer, corpus, config=None, threads=1):
+def evaluate(scorer, corpus, config=None):
     """Score every qualifying test position of every user and aggregate.
 
     ``scorer`` must provide score_items(seq, k, behavior) -> (n_items,)
     scores for the item at position k+1 given history up to k; hidden
     states condition on the full preceding history (training + validation
-    + earlier test events). Parameters are never modified.
+    + earlier test events). Parameters are never modified. A non-finite
+    score raises NumericError instead of being ranked (a NaN target would
+    otherwise rank first).
     """
     if config is None:
         config = EvalConfig()
 
-    def eval_user(u):
+    all_instances = []
+    by_bucket = {}
+    for u in range(corpus.n_users):
         seq = corpus.sequences[u]
-        out = []
         for k in eval_positions(corpus, u, config):
             b = int(seq.behaviors[k])
             target = int(seq.items[k])
-            scores = scorer.score_items(seq, k, b)
+            scores = finite_scores(scorer, seq, k, b)
             if config.exclude_seen:
                 scores = scores.copy()
                 seen = np.unique(seq.items[:k])
                 keep = scores[target]
                 scores[seen] = -np.inf
                 scores[target] = keep
-            rank = rank_of_target(scores, target)
-            out.append((length_bucket(seq, config.bucket_thresholds),
-                        instance_metrics(rank, config.cutoffs)))
-        return out
-
-    users = range(corpus.n_users)
-    if threads <= 1:
-        per_user = [eval_user(u) for u in users]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_user = list(pool.map(eval_user, users))
-
-    all_instances = []
-    by_bucket = {}
-    for chunk in per_user:
-        for bucket, metrics in chunk:
+            metrics = instance_metrics(rank_of_target(scores, target), config.cutoffs)
             all_instances.append(metrics)
-            by_bucket.setdefault(bucket, []).append(metrics)
+            by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).append(metrics)
     if not all_instances:
         raise EmptyEval("no qualifying test instance")
 

@@ -13,6 +13,13 @@ with h_0 = u0 shared by all users (cold start). The recursion is anchored
 at the prediction position: h_k refers to h_{k-n}, h_{k-2n}, ... down to
 the first position below n. Scoring is the inner product
 (h_k + u_u)^T M_b r_v.
+
+The forward pass and scoring here serve both model kinds. A parameter
+class differs from the other only in its window-matrix provider:
+``window(seq, p, i)`` gives the matrix for window offset i at layer p
+together with the (stack index, weight) pairs its gradient splits over,
+and ``trans`` is the stack those indices address (C here, the time-bin
+boundary matrices for TA-RLBL).
 """
 
 from dataclasses import dataclass
@@ -22,6 +29,10 @@ import numpy as np
 
 class PositionError(IndexError):
     """Raised when a sequence position is out of range."""
+
+
+class NumericError(FloatingPointError):
+    """Raised when a loss or a score is not a finite number."""
 
 
 @dataclass
@@ -38,6 +49,16 @@ class RlblParams:
     @property
     def n(self):
         return self.C.shape[0]
+
+    @property
+    def trans(self):
+        """The stack that window() indices address."""
+        return self.C
+
+    def window(self, seq, p, i):
+        """Matrix for window offset i at layer p, with the (trans index,
+        weight) pairs its gradient splits over: C_i, whatever the times."""
+        return self.C[i], ((i, 1.0),)
 
     @property
     def d(self):
@@ -87,6 +108,17 @@ def _check_position(seq, k):
         raise PositionError(f"position {k} outside sequence of length {len(seq)}")
 
 
+def _layer(params, seq, p, prev):
+    """h_p from the state it recurs on: W prev plus the window terms."""
+    acc = params.W @ prev
+    n = params.n
+    for i in range(n if p >= n else p):
+        j = p - i  # 1-based event position
+        A, _ = params.window(seq, p, i)
+        acc += A @ (params.M[seq.behaviors[j - 1]] @ params.item_vecs[seq.items[j - 1]])
+    return acc
+
+
 def hidden_chain(params, seq, upto):
     """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0)."""
     _check_position(seq, upto)
@@ -94,15 +126,7 @@ def hidden_chain(params, seq, upto):
     H = np.empty((upto + 1, params.d))
     H[0] = params.u0
     for k in range(1, upto + 1):
-        prev = H[k - n] if k >= n else H[0]
-        acc = params.W @ prev
-        win = n if k >= n else k
-        for i in range(win):
-            j = k - i  # 1-based event position
-            v = seq.items[j - 1]
-            b = seq.behaviors[j - 1]
-            acc = acc + params.C[i] @ (params.M[b] @ params.item_vecs[v])
-        H[k] = acc
+        H[k] = _layer(params, seq, k, H[k - n] if k >= n else H[0])
     return H
 
 
@@ -121,17 +145,8 @@ def hidden_path(params, seq, k):
         chain.append(p)
         p = p - n if p >= n else 0
     states = [params.u0]
-    h = params.u0
     for p in reversed(chain):
-        acc = params.W @ h
-        win = n if p >= n else p
-        for i in range(win):
-            j = p - i
-            v = seq.items[j - 1]
-            b = seq.behaviors[j - 1]
-            acc = acc + params.C[i] @ (params.M[b] @ params.item_vecs[v])
-        h = acc
-        states.append(h)
+        states.append(_layer(params, seq, p, states[-1]))
     return chain + [0], states[::-1]
 
 

@@ -8,59 +8,52 @@ recursion and is only safe while parameters are not updated.
 
 import numpy as np
 
-from rlbl.model import hidden_chain, score_all_items
-from rlbl.time_aware import hidden_chain_ta, score_all_items_ta
+from rlbl.model import NumericError, hidden_chain, score_all_items
+from rlbl.time_aware import TaRlblParams
 
 
 class _ChainScorer:
+    """Scorer for either model kind: the forward pass is shared."""
+
     def __init__(self, params):
         self.params = params
         self._chains = {}
 
-    def _compute_chain(self, seq, upto):
-        raise NotImplementedError
-
-    def _score_all(self, h, user_id, behavior):
-        raise NotImplementedError
-
-    def _hidden(self, seq, k):
+    def score_items(self, seq, k, behavior):
         chain = self._chains.get(seq.user_id)
         if chain is None or chain.shape[0] <= k:
-            chain = self._compute_chain(seq, max(len(seq) - 1, k))
+            chain = hidden_chain(self.params, seq, max(len(seq) - 1, k))
             self._chains[seq.user_id] = chain
-        return chain[k]
-
-    def score_items(self, seq, k, behavior):
-        return self._score_all(self._hidden(seq, k), seq.user_id, behavior)
+        return score_all_items(self.params, chain[k], seq.user_id, behavior)
 
 
+# perfbench/bench.py patches score_items on both names; as siblings (not one
+# subclassing the other) each call is traced once.
 class RlblScorer(_ChainScorer):
-    def _compute_chain(self, seq, upto):
-        return hidden_chain(self.params, seq, upto)
-
-    def _score_all(self, h, user_id, behavior):
-        return score_all_items(self.params, h, user_id, behavior)
+    """Scorer for RlblParams."""
 
 
 class TaRlblScorer(_ChainScorer):
-    def _compute_chain(self, seq, upto):
-        return hidden_chain_ta(self.params, seq, upto)
-
-    def _score_all(self, h, user_id, behavior):
-        return score_all_items_ta(self.params, h, user_id, behavior)
+    """Scorer for TaRlblParams."""
 
 
 def scorer_for(params):
     """Pick the matching scorer by parameter type."""
-    from rlbl.time_aware import TaRlblParams
-
     if isinstance(params, TaRlblParams):
         return TaRlblScorer(params)
     return RlblScorer(params)
 
 
+def finite_scores(scorer, seq, k, behavior):
+    """scorer.score_items as an array; NumericError if any score is not finite."""
+    scores = np.asarray(scorer.score_items(seq, k, behavior))
+    if not np.isfinite(scores).all():
+        raise NumericError(f"non-finite score for user {seq.user_id} at position {k}")
+    return scores
+
+
 def top_k_items(scorer, seq, k, behavior, top_k):
     """Ranked (item, score) list for the next position, ties by index."""
-    scores = np.asarray(scorer.score_items(seq, k, behavior))
+    scores = finite_scores(scorer, seq, k, behavior)
     order = np.argsort(-scores, kind="stable")[:top_k]
     return [(int(i), float(scores[i])) for i in order]

@@ -15,6 +15,7 @@ user histories from the snapshot alone.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -24,6 +25,20 @@ from rlbl.model import RlblParams
 from rlbl.time_aware import TaRlblParams, TimeBinGrid
 
 MAGIC = b"RLBL\x01\n"
+
+# what the reader requires: the dtypes the writer emits, and per model kind
+# the arrays and meta keys it rebuilds from
+DTYPES = ("float64", "int64", "int8")
+KIND_ARRAYS = {
+    "rlbl": ("user_vecs", "item_vecs", "W", "C", "M", "u0"),
+    "ta-rlbl": ("user_vecs", "item_vecs", "W", "boundary_mats", "M", "u0"),
+    "pop": ("item_counts",),
+    "markov": ("transitions", "fallback", "row_observed"),
+}
+KIND_META = {"ta-rlbl": ("bin_width", "n")}
+CORPUS_ARRAYS = ("corpus_offsets", "corpus_items", "corpus_behaviors",
+                 "corpus_timestamps", "corpus_train_end", "corpus_valid_end")
+CORPUS_META = ("n_users", "n_items", "n_behaviors", "user_ids", "item_ids")
 
 
 class SnapshotError(ValueError):
@@ -156,8 +171,32 @@ def _rebuild_corpus(meta, arrs):
     )
 
 
+def _require(path, what, mapping, keys):
+    if not isinstance(mapping, dict):
+        raise SnapshotError(f"{path}: {what} is not a mapping")
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise SnapshotError(f"{path}: {what} lacks {', '.join(missing)}")
+
+
+def _array_spec(path, spec):
+    """(name, dtype, shape) of one header array entry, checked."""
+    _require(path, "array entry", spec, ("name", "shape", "dtype"))
+    if not isinstance(spec["name"], str):
+        raise SnapshotError(f"{path}: array name {spec['name']!r} is not a string")
+    if spec["dtype"] not in DTYPES:
+        raise SnapshotError(f"{path}: array {spec['name']!r} has dtype {spec['dtype']!r}")
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(type(x) is int and x >= 0 for x in shape):
+        raise SnapshotError(f"{path}: array {spec['name']!r} has shape {shape!r}")
+    return spec["name"], np.dtype(spec["dtype"]), tuple(shape)
+
+
 def load_snapshot(path):
-    """Read a snapshot; returns (kind, model, corpus-or-None)."""
+    """Read a snapshot; returns (kind, model, corpus-or-None).
+
+    Anything malformed, truncated or incomplete raises SnapshotError.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -173,22 +212,30 @@ def load_snapshot(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: corrupt header: {exc}") from exc
     off += hlen
+    _require(path, "header", header, ("kind", "meta", "arrays"))
+    if not isinstance(header["arrays"], list):
+        raise SnapshotError(f"{path}: header arrays is not a list")
 
     arrs = {}
     for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
+        name, dtype, shape = _array_spec(path, spec)
+        nbytes = math.prod(shape) * dtype.itemsize
         if off + nbytes > len(blob):
-            raise SnapshotError(f"{path}: truncated array {spec['name']}")
-        arrs[spec["name"]] = np.frombuffer(
-            blob[off:off + nbytes], dtype=dtype
-        ).reshape(shape).copy()
+            raise SnapshotError(f"{path}: truncated array {name}")
+        arrs[name] = np.frombuffer(blob[off:off + nbytes], dtype=dtype).reshape(shape).copy()
         off += nbytes
+    if off != len(blob):
+        raise SnapshotError(f"{path}: file has {len(blob)} bytes, its header describes {off}")
 
     kind = header["kind"]
     meta = header["meta"]
+    if not isinstance(kind, str) or kind not in KIND_ARRAYS:
+        raise SnapshotError(f"{path}: unknown model kind {kind!r}")
+    _require(path, "arrays", arrs, KIND_ARRAYS[kind])
+    _require(path, "meta", meta, KIND_META.get(kind, ()))
+    if "corpus" in meta:
+        _require(path, "arrays", arrs, CORPUS_ARRAYS)
+        _require(path, "meta.corpus", meta["corpus"], CORPUS_META)
     model = _rebuild_model(kind, meta, arrs)
     corpus = _rebuild_corpus(meta["corpus"], arrs) if "corpus" in meta else None
     return kind, model, corpus

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlbl.model import HiddenState, _check_position, _state_vec
-
 
 class TimeError(ValueError):
     """Raised for negative time differences."""
@@ -51,6 +49,17 @@ class TaRlblParams:
     M: np.ndarray          # (n_behaviors, d, d)
     u0: np.ndarray         # (d,)
     n: int                 # window width
+
+    @property
+    def trans(self):
+        """The stack that window() indices address: the boundary matrices."""
+        return self.grid.boundary_mats
+
+    def window(self, seq, p, i):
+        """T(t_d) for the gap between layer p's event and the one i before
+        it, with the boundary matrices and weights it blends."""
+        ts = seq.timestamps
+        return _blend(self.grid, max(int(ts[p - 1]) - int(ts[p - 1 - i]), 0))
 
     @property
     def d(self):
@@ -110,76 +119,16 @@ def interp_weights(grid, t_d):
     return j, j + 1, (hi - t_d) / w, (t_d - lo) / w
 
 
+def _blend(grid, t_d):
+    """T(t_d) plus the (boundary index, weight) pairs it blends; at a single
+    boundary the matrix is a view into the grid."""
+    lo, hi, w_lo, w_hi = interp_weights(grid, t_d)
+    mats = grid.boundary_mats
+    if lo == hi:
+        return mats[lo], ((lo, 1.0),)
+    return w_lo * mats[lo] + w_hi * mats[hi], ((lo, w_lo), (hi, w_hi))
+
+
 def interp_matrix(grid, t_d):
     """Time-specific transition matrix for time difference t_d (seconds)."""
-    lo, hi, w_lo, w_hi = interp_weights(grid, t_d)
-    if lo == hi:
-        return grid.boundary_mats[lo].copy()
-    return w_lo * grid.boundary_mats[lo] + w_hi * grid.boundary_mats[hi]
-
-
-def hidden_chain_ta(params, seq, upto):
-    """Hidden states h_0 .. h_upto for TA-RLBL as an (upto+1, d) array."""
-    _check_position(seq, upto)
-    n = params.n
-    H = np.empty((upto + 1, params.d))
-    H[0] = params.u0
-    ts = seq.timestamps
-    for k in range(1, upto + 1):
-        prev = H[k - n] if k >= n else H[0]
-        acc = params.W @ prev
-        win = n if k >= n else k
-        for i in range(win):
-            j = k - i
-            t_d = max(int(ts[k - 1]) - int(ts[j - 1]), 0)
-            T = interp_matrix(params.grid, t_d)
-            v = seq.items[j - 1]
-            b = seq.behaviors[j - 1]
-            acc = acc + T @ (params.M[b] @ params.item_vecs[v])
-        H[k] = acc
-    return H
-
-
-def hidden_path_ta(params, seq, k):
-    """States along the anchored chain for TA-RLBL; see model.hidden_path."""
-    _check_position(seq, k)
-    n = params.n
-    chain = []
-    p = k
-    while p >= 1:
-        chain.append(p)
-        p = p - n if p >= n else 0
-    ts = seq.timestamps
-    states = [params.u0]
-    h = params.u0
-    for p in reversed(chain):
-        acc = params.W @ h
-        win = n if p >= n else p
-        for i in range(win):
-            j = p - i
-            t_d = max(int(ts[p - 1]) - int(ts[j - 1]), 0)
-            T = interp_matrix(params.grid, t_d)
-            v = seq.items[j - 1]
-            b = seq.behaviors[j - 1]
-            acc = acc + T @ (params.M[b] @ params.item_vecs[v])
-        h = acc
-        states.append(h)
-    return chain + [0], states[::-1]
-
-
-def hidden_at_ta(params, seq, k):
-    """Hidden state at position k for TA-RLBL (anchored chain, as in RLBL)."""
-    _, states = hidden_path_ta(params, seq, k)
-    return HiddenState(h=states[0], position=k)
-
-
-def score_ta(params, h, user_id, behavior_id, item_id):
-    """Same inner-product scoring as RLBL: (h + u_u)^T M_b r_v."""
-    s = _state_vec(h) + params.user_vecs[user_id]
-    return float(s @ params.M[behavior_id] @ params.item_vecs[item_id])
-
-
-def score_all_items_ta(params, h, user_id, behavior_id):
-    s = _state_vec(h) + params.user_vecs[user_id]
-    proj = params.M[behavior_id].T @ s
-    return params.item_vecs @ proj
+    return np.array(_blend(grid, t_d)[0])

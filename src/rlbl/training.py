@@ -12,9 +12,11 @@ layer are closed-form; below it they propagate down the chain
 h_k -> h_{k-n} -> ... -> u0 (BPTT). A central finite-difference oracle
 (:func:`gradient_check`) verifies every analytic tensor.
 
-Both model kinds share this module: for TA-RLBL the "transition stack" is
-the grid of boundary matrices, and each window-term gradient splits onto
-the two blending boundary matrices with the interpolation weights.
+Both model kinds share this module through their window-matrix provider
+(see rlbl.model): the "transition stack" is ``params.trans``, and each
+window-term gradient splits over the stack entries ``params.window`` names
+(one position matrix for RLBL; the two blending boundary matrices, with
+the interpolation weights, for TA-RLBL).
 """
 
 import math
@@ -24,16 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from rlbl.model import RlblParams, hidden_path
-from rlbl.time_aware import TaRlblParams, hidden_path_ta, interp_weights
+from rlbl.model import NumericError, hidden_path
 
 
 class SamplingError(ValueError):
     """Raised when negative sampling is impossible (fewer than 2 items)."""
-
-
-class NumericError(FloatingPointError):
-    """Raised when a non-finite loss aborts an epoch."""
 
 
 @dataclass
@@ -52,17 +49,6 @@ class TrainConfig:
     bptt_truncation: int | None = None  # max recurrence depth; None = full chain
     regularize_u0: bool = True
     train_behavior_mats: bool = True
-    # How the L2 penalty on the densely-shared tensors (W, transition stack,
-    # behavior matrices, u0) enters the per-instance SGD step. "per-instance"
-    # applies the full lambda term every update, so over an epoch of N
-    # instances those tensors decay by (1 - eta*lambda)^N regardless of the
-    # data -- at corpus scale that flattens the model before it can learn.
-    # "per-epoch" (default) amortizes: each update carries lambda/N of the
-    # penalty, so one epoch applies the full lambda once, matching a single
-    # global (lambda/2)||Theta||^2 term. Sparsely-touched rows (user and item
-    # vectors) always carry their full lambda term, as usual for pairwise
-    # ranking trainers.
-    shared_reg: str = "per-epoch"  # "per-epoch" | "per-instance"
     # Per-instance gradient clipping: if the global L2 norm of the gradient
     # bundle exceeds this, the whole bundle is rescaled to it. The recurrent
     # chain has no nonlinearity to squash activations, so a near-identity W
@@ -82,8 +68,6 @@ class TrainConfig:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.lr_policy not in ("fixed", "backtracking"):
             raise ValueError(f"unknown lr_policy {self.lr_policy!r}")
-        if self.shared_reg not in ("per-epoch", "per-instance"):
-            raise ValueError(f"unknown shared_reg {self.shared_reg!r}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0 or None")
 
@@ -119,7 +103,7 @@ class GradientBundle:
     def zeros_like(cls, params):
         return cls(
             W=np.zeros_like(params.W),
-            trans=np.zeros_like(_trans_stack(params)),
+            trans=np.zeros_like(params.trans),
             M=np.zeros_like(params.M),
             u0=np.zeros_like(params.u0),
         )
@@ -187,35 +171,6 @@ class EpochReport:
     wall_time: float
 
 
-def _is_ta(params):
-    return isinstance(params, TaRlblParams)
-
-
-def _trans_stack(params):
-    return params.grid.boundary_mats if _is_ta(params) else params.C
-
-
-def _chain_path(params, seq, k):
-    """(positions, states) along the anchored chain ending at position k."""
-    if _is_ta(params):
-        return hidden_path_ta(params, seq, k)
-    return hidden_path(params, seq, k)
-
-
-def _window_mat(params, seq, p, i):
-    """Transition matrix for window offset i at layer position p, plus the
-    (stack index, weight) pairs its gradient distributes over."""
-    if _is_ta(params):
-        ts = seq.timestamps
-        t_d = max(int(ts[p - 1]) - int(ts[p - 1 - i]), 0)
-        lo, hi, w_lo, w_hi = interp_weights(params.grid, t_d)
-        mats = params.grid.boundary_mats
-        if lo == hi:
-            return mats[lo], ((lo, 1.0),)
-        return w_lo * mats[lo] + w_hi * mats[hi], ((lo, w_lo), (hi, w_hi))
-    return params.C[i], ((i, 1.0),)
-
-
 def bpr_pair_loss(y_pos, y_neg, reg=0.0):
     """Softplus of the negated margin plus a regularization term.
 
@@ -225,18 +180,8 @@ def bpr_pair_loss(y_pos, y_neg, reg=0.0):
     return float(np.logaddexp(0.0, -(y_pos - y_neg)) + reg)
 
 
-def sample_negative(corpus, user_id, position, behavior, rng):
-    """Uniform draw over all items except the positive one at position+1."""
-    del behavior  # negatives come from the full vocabulary
-    n_items = corpus.n_items
-    if n_items < 2:
-        raise SamplingError("need at least 2 items to sample a negative")
-    pos = int(corpus.sequences[user_id].items[position])
-    v = int(rng.integers(n_items - 1))
-    return v + 1 if v >= pos else v
-
-
-def _sample_negative_item(n_items, pos_item, rng):
+def sample_negative(n_items, pos_item, rng):
+    """Uniform draw over all n_items items except pos_item."""
     if n_items < 2:
         raise SamplingError("need at least 2 items to sample a negative")
     v = int(rng.integers(n_items - 1))
@@ -252,8 +197,8 @@ def _scores(params, h, inst):
 def regularization(params, inst, cfg, shared_scale=1.0):
     """(lambda/2) * squared norm of the tensors the instance regularizes.
 
-    ``shared_scale`` discounts the densely-shared tensors (see
-    TrainConfig.shared_reg); the touched user/item rows always count fully.
+    ``shared_scale`` discounts the densely-shared tensors (see sgd_epoch);
+    the touched user/item rows always count fully.
     """
     lam = cfg.lam
     if lam == 0.0:
@@ -266,7 +211,7 @@ def regularization(params, inst, cfg, shared_scale=1.0):
     shared = (
         np.sum(params.M[inst.behavior] ** 2)
         + np.sum(params.W ** 2)
-        + np.sum(_trans_stack(params) ** 2)
+        + np.sum(params.trans ** 2)
     )
     if cfg.regularize_u0:
         shared += np.sum(params.u0 ** 2)
@@ -275,7 +220,7 @@ def regularization(params, inst, cfg, shared_scale=1.0):
 
 def instance_loss(params, seq, inst, cfg, shared_scale=1.0):
     """Full per-instance objective, recomputing the forward chain."""
-    _, states = _chain_path(params, seq, inst.position)
+    _, states = hidden_path(params, seq, inst.position)
     y_pos, y_neg = _scores(params, states[0], inst)
     return bpr_pair_loss(y_pos, y_neg, regularization(params, inst, cfg, shared_scale))
 
@@ -316,13 +261,13 @@ def bptt_backward(params, seq, k, dJ_dh, bundle=None, truncation=None, path=None
     matrices g (M r)^T (split over the two boundary matrices for TA-RLBL),
     the window behavior matrices A^T g r^T, and W picks up g h_prev^T.
     The chain grounds at u0 with dJ/du0 = W^T g of the deepest layer.
-    ``path`` accepts a precomputed forward pass from _chain_path.
+    ``path`` accepts a precomputed forward pass from hidden_path.
     """
     if bundle is None:
         bundle = GradientBundle.zeros_like(params)
     n = params.n
     if path is None:
-        path = _chain_path(params, seq, k)
+        path = hidden_path(params, seq, k)
     positions, states = path
     g = np.array(dJ_dh)
     for depth, p in enumerate(positions[:-1]):  # the final entry is layer 0
@@ -335,7 +280,7 @@ def bptt_backward(params, seq, k, dJ_dh, bundle=None, truncation=None, path=None
             b = int(seq.behaviors[j - 1])
             r = params.item_vecs[v]
             Mb = params.M[b]
-            A, weights = _window_mat(params, seq, p, i)
+            A, weights = params.window(seq, p, i)
             Atg = A.T @ g
             bundle.add_item(v, Mb.T @ Atg)
             GA = np.outer(g, Mb @ r)
@@ -351,7 +296,7 @@ def bptt_backward(params, seq, k, dJ_dh, bundle=None, truncation=None, path=None
 def instance_gradients(params, seq, inst, cfg, shared_scale=1.0, path=None):
     """Full analytic gradient bundle for one instance (output + BPTT + lambda)."""
     if path is None:
-        path = _chain_path(params, seq, inst.position)
+        path = hidden_path(params, seq, inst.position)
     h = path[1][0]
     bundle, dJ_dh = output_gradients(params, h, inst, lam=cfg.lam, shared_scale=shared_scale)
     bptt_backward(params, seq, inst.position, dJ_dh, bundle,
@@ -359,7 +304,7 @@ def instance_gradients(params, seq, inst, cfg, shared_scale=1.0, path=None):
     lam = cfg.lam * shared_scale
     if lam:
         bundle.W += lam * params.W
-        bundle.trans += lam * _trans_stack(params)
+        bundle.trans += lam * params.trans
         if cfg.regularize_u0:
             bundle.u0 += lam * params.u0
     return bundle
@@ -371,7 +316,7 @@ def _apply_update(params, bundle, eta, cfg):
         "user": {i: params.user_vecs[i].copy() for i in bundle.user_rows},
         "item": {i: params.item_vecs[i].copy() for i in bundle.item_rows},
         "W": params.W.copy(),
-        "trans": _trans_stack(params).copy(),
+        "trans": params.trans.copy(),
         "M": params.M.copy(),
         "u0": params.u0.copy(),
     }
@@ -380,7 +325,7 @@ def _apply_update(params, bundle, eta, cfg):
     for i, g in bundle.item_rows.items():
         params.item_vecs[i] -= eta * g
     params.W -= eta * bundle.W
-    _trans_stack(params)[...] -= eta * bundle.trans
+    params.trans[...] -= eta * bundle.trans
     if cfg.train_behavior_mats:
         params.M -= eta * bundle.M
     params.u0 -= eta * bundle.u0
@@ -393,7 +338,7 @@ def _undo_update(params, undo):
     for i, v in undo["item"].items():
         params.item_vecs[i] = v
     params.W[...] = undo["W"]
-    _trans_stack(params)[...] = undo["trans"]
+    params.trans[...] = undo["trans"]
     params.M[...] = undo["M"]
     params.u0[...] = undo["u0"]
 
@@ -410,7 +355,7 @@ def _train_group(params, seq, insts, cfg, shared_scale=1.0, eta=None):
     (per-pair pre-update losses, effective step or None).
     """
     k = insts[0].position
-    path = _chain_path(params, seq, k)
+    path = hidden_path(params, seq, k)
     h = path[1][0]
     losses = []
     bundle = dJ_dh = None
@@ -434,7 +379,7 @@ def _train_group(params, seq, insts, cfg, shared_scale=1.0, eta=None):
     lam = cfg.lam * shared_scale * len(insts)
     if lam:
         bundle.W += lam * params.W
-        bundle.trans += lam * _trans_stack(params)
+        bundle.trans += lam * params.trans
         if cfg.regularize_u0:
             bundle.u0 += lam * params.u0
     if cfg.clip_norm is not None:
@@ -457,18 +402,12 @@ def _train_group(params, seq, insts, cfg, shared_scale=1.0, eta=None):
     return losses, None  # no acceptable step; update skipped
 
 
-def _train_instance(params, seq, inst, cfg, shared_scale=1.0):
-    """One SGD step on a single BPR pair. Returns (pre-update loss, step)."""
-    losses, step = _train_group(params, seq, [inst], cfg, shared_scale)
-    return losses[0], step
-
-
 def training_positions(corpus, user_id):
     """1-based context positions k with a training target at k+1."""
     return range(1, int(corpus.train_end[user_id]))
 
 
-def sgd_epoch(params, corpus, cfg, rng, threads=1, epoch=0):
+def sgd_epoch(params, corpus, cfg, rng, epoch=0):
     """One pass over all training instances, users in shuffled order.
 
     ``epoch`` (0-based) only feeds the lr_decay schedule.
@@ -477,50 +416,30 @@ def sgd_epoch(params, corpus, cfg, rng, threads=1, epoch=0):
     users = [u for u in range(corpus.n_users) if corpus.train_end[u] >= 2]
     order = [users[i] for i in rng.permutation(len(users))]
     t0 = time.perf_counter()
-    if cfg.shared_reg == "per-epoch":
-        n_planned = sum(len(training_positions(corpus, u)) for u in users)
-        shared_scale = 1.0 / max(n_planned * cfg.negatives_per_positive, 1)
-    else:
-        shared_scale = 1.0
-
-    def run_users(user_list, user_rng):
-        losses, steps, skipped = [], [], 0
-        for u in user_list:
-            seq = corpus.sequences[u]
-            for k in training_positions(corpus, u):
-                b = int(seq.behaviors[k])
-                v = int(seq.items[k])
-                insts = [
-                    TrainingInstance(
-                        u, k, b, v,
-                        _sample_negative_item(corpus.n_items, v, user_rng))
-                    for _ in range(cfg.negatives_per_positive)
-                ]
-                group_losses, step = _train_group(params, seq, insts, cfg,
-                                                  shared_scale, eta=eta)
-                losses.extend(group_losses)
-                if step is None:
-                    skipped += len(insts)
-                else:
-                    steps.append(step)
-        return losses, steps, skipped
-
-    if threads <= 1:
-        losses, steps, skipped = run_users(order, rng)
-    else:
-        # hogwild-style: users sharded across workers, unsynchronized
-        # updates; forfeits bit-reproducibility
-        from concurrent.futures import ThreadPoolExecutor
-
-        shards = [order[i::threads] for i in range(threads)]
-        child_rngs = rng.spawn(threads)
-        losses, steps, skipped = [], [], 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for ls, st, sk in pool.map(run_users, shards, child_rngs):
-                losses.extend(ls)
-                steps.extend(st)
-                skipped += sk
-
+    # Each step carries 1/N of the L2 penalty on the densely-shared tensors
+    # (W, transition stack, behavior matrices, u0), so one epoch of N pairs
+    # applies the full lambda once, matching a single global
+    # (lambda/2)||Theta||^2 term. The full term on every step would decay
+    # them by (1 - eta*lambda)^N per epoch regardless of the data, which
+    # flattens the model at corpus scale. Sparsely-touched rows (user and
+    # item vectors) always carry their full lambda term, as usual for
+    # pairwise ranking trainers.
+    n_planned = sum(len(training_positions(corpus, u)) for u in users)
+    shared_scale = 1.0 / max(n_planned * cfg.negatives_per_positive, 1)
+    losses, steps, skipped = [], [], 0
+    for u in order:
+        seq = corpus.sequences[u]
+        for k in training_positions(corpus, u):
+            b = int(seq.behaviors[k])
+            v = int(seq.items[k])
+            insts = [TrainingInstance(u, k, b, v, sample_negative(corpus.n_items, v, rng))
+                     for _ in range(cfg.negatives_per_positive)]
+            group_losses, step = _train_group(params, seq, insts, cfg, shared_scale, eta=eta)
+            losses.extend(group_losses)
+            if step is None:
+                skipped += len(insts)
+            else:
+                steps.append(step)
     return EpochReport(
         mean_loss=float(np.mean(losses)) if losses else 0.0,
         n_instances=len(losses),
@@ -530,13 +449,13 @@ def sgd_epoch(params, corpus, cfg, rng, threads=1, epoch=0):
     )
 
 
-def train(params, corpus, cfg, rng=None, threads=1, on_epoch=None):
+def train(params, corpus, cfg, rng=None, on_epoch=None):
     """Run cfg.epochs SGD epochs; on_epoch(epoch_index, report) after each."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     reports = []
     for e in range(cfg.epochs):
-        rep = sgd_epoch(params, corpus, cfg, rng, threads=threads, epoch=e)
+        rep = sgd_epoch(params, corpus, cfg, rng, epoch=e)
         reports.append(rep)
         if on_epoch is not None:
             on_epoch(e, rep)
@@ -569,16 +488,10 @@ def _bundle_lookup(params, bundle, name):
     return getattr(bundle, name)
 
 
-def _param_array(params, name):
-    if name == "trans":
-        return _trans_stack(params)
-    return getattr(params, name)
-
-
 def _check_coords(params, bundle, name, seq, inst, min_coords, rng):
     """Coordinates to compare: everything the instance touches, padded with
     random draws up to min_coords."""
-    arr = _param_array(params, name)
+    arr = getattr(params, name)
     coords = []
     if name == "user_vecs":
         rows = sorted(bundle.user_rows)
@@ -637,7 +550,7 @@ def gradient_check(params, seq, k, instance, step=1e-5, tolerance=1e-4,
 
     errors = {}
     for name in TENSOR_NAMES:
-        arr = _param_array(params, name)
+        arr = getattr(params, name)
         analytic = _bundle_lookup(params, bundle, name)
         worst = 0.0
         for idx in _check_coords(params, bundle, name, seq, instance, min_coords, rng):

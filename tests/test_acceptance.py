@@ -27,7 +27,7 @@ from rlbl.ingestion import SynthSpec, generate_synthetic, synth_corpus
 from rlbl.model import hidden_at, init_rlbl_params
 from rlbl.scoring import scorer_for
 from rlbl.snapshot import load_snapshot, save_snapshot
-from rlbl.time_aware import hidden_at_ta, init_ta_rlbl_params, interp_matrix
+from rlbl.time_aware import init_ta_rlbl_params, interp_matrix
 from rlbl.training import (
     TrainConfig,
     TrainingInstance,
@@ -89,8 +89,8 @@ def test_gradient_oracle_all_models_and_dims():
                     inst = TrainingInstance(
                         user_id=0, position=k, behavior=int(seq.behaviors[k]),
                         pos_item=int(seq.items[k]),
-                        neg_item=sample_negative(corpus, 0, k,
-                                                 int(seq.behaviors[k]), rng),
+                        neg_item=sample_negative(corpus.n_items,
+                                                 int(seq.items[k]), rng),
                     )
                     report = gradient_check(params, seq, k, inst,
                                             step=1e-5, tolerance=1e-4,
@@ -300,8 +300,8 @@ def test_constant_timestamp_shift_is_invisible():
     for u in range(c0.n_users):
         m = len(c0.sequences[u])
         for k in (1, m // 2, m):
-            h0 = hidden_at_ta(params, c0.sequences[u], k).h
-            h1 = hidden_at_ta(params, c1.sequences[u], k).h
+            h0 = hidden_at(params, c0.sequences[u], k).h
+            h1 = hidden_at(params, c1.sequences[u], k).h
             assert np.array_equal(h0, h1)
     r0 = report_table(evaluate(scorer_for(params), c0))
     r1 = report_table(evaluate(scorer_for(params), c1))

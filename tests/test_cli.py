@@ -1,11 +1,12 @@
-import yaml
-
+import numpy as np
 import pytest
+import yaml
 
 from rlbl.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     load_config,
@@ -190,3 +191,39 @@ def test_ta_rlbl_train(tmp_path):
     cfg = cfg_with_out(tmp_path, extra={
         "model": {"kind": "ta-rlbl", "d": 4, "n": 2, "bin_width": 3600.0, "n_bins": 4}})
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
+
+
+def test_nonfinite_model_is_numeric_error(tmp_path, capsys):
+    from rlbl.snapshot import load_snapshot, save_snapshot
+
+    cfg = cfg_with_out(tmp_path)
+    main(["train", "--config", str(cfg)])
+    snap = tmp_path / "out" / "model.snap"
+    _, params, corpus = load_snapshot(snap)
+    params.W[0, 0] = np.nan
+    save_snapshot(snap, params, corpus)
+    with np.errstate(invalid="ignore"):
+        assert main(["predict", "--snapshot", str(snap), "--user", "u0",
+                     "--behavior", "0"]) == EXIT_NUMERIC
+        assert main(["evaluate", "--config", str(cfg), "--snapshot", str(snap)]) == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("dataset", [
+    {"columns": {"user": 0}},
+    {"columns": {"user": 0, "item": 1, "behavior": 2, "timestamp": 3, "rating": 4}},
+    {"columns": {"user": 0, "item": 1, "behavior": 2, "timestamp": -1}},
+    {"columns": {"user": 0, "item": "1", "behavior": 2, "timestamp": 3}},
+    {"columns": [0, 1, 2, 3]},
+    {"behavior_map": [1, 2]},
+    {"synth": None},
+    {"synth": [6, 12]},
+])
+def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    if "columns" in dataset or "behavior_map" in dataset:
+        events = tmp_path / "events.tsv"
+        events.write_text("".join(f"u{t % 2}\ti{t % 5}\t0\t{t}\n" for t in range(24)))
+        cfg["dataset"] = {"format": "generic", "path": str(events)}
+    cfg["dataset"].update(dataset)
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG

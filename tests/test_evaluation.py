@@ -14,6 +14,7 @@ from rlbl.evaluation import (
     report_rows,
     report_table,
 )
+from rlbl.model import NumericError
 
 
 def sort_oracle_rank(scores, target):
@@ -219,12 +220,16 @@ def test_report_rows_roundtrip_values():
         assert rows[("recall", k, "all")] == rep.recall[k]
 
 
-def test_threaded_evaluation_matches_serial():
-    c = grid_corpus(n_users=10, seed=18)
-    base = np.random.default_rng(19).normal(size=c.n_items)
-    r1 = evaluate(FixedScorer(base), c, threads=1)
-    r2 = evaluate(FixedScorer(base), c, threads=4)
-    assert r1.recall == r2.recall and r1.map == r2.map and r1.n_instances == r2.n_instances
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("exclude_seen", [False, True])
+def test_nonfinite_scores_raise(bad, exclude_seen):
+    # a NaN target would otherwise rank first; the check runs on the
+    # scorer's own row, before exclude_seen writes its -inf entries
+    c = grid_corpus(seed=18)
+    base = np.arange(c.n_items, dtype=float)
+    base[1] = bad
+    with pytest.raises(NumericError):
+        evaluate(FixedScorer(base), c, EvalConfig(exclude_seen=exclude_seen))
 
 
 def test_config_validation():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,65 @@ def test_loaded_model_scores_identically(tmp_path):
     s1 = scorer_for(p).score_items(seq, 4, 1)
     s2 = scorer_for(loaded).score_items(lseq, 4, 1)
     assert np.array_equal(s1, s2)
+
+
+def _split(blob):
+    """(header dict, array bytes) of a snapshot file's contents."""
+    hlen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    start = len(MAGIC) + 8
+    return json.loads(blob[start:start + hlen]), blob[start + hlen:]
+
+
+def _join(header, payload):
+    raw = json.dumps(header).encode("utf-8")
+    return MAGIC + len(raw).to_bytes(8, "little") + raw + payload
+
+
+def _spec(header, name):
+    return next(s for s in header["arrays"] if s["name"] == name)
+
+
+def _rename(header, name):
+    _spec(header, name)["name"] = "renamed"
+
+
+MALFORMED = {
+    "header is a list": None,
+    "no kind": lambda h: h.pop("kind"),
+    "no meta": lambda h: h.pop("meta"),
+    "no arrays": lambda h: h.pop("arrays"),
+    "array without name": lambda h: _spec(h, "W").pop("name"),
+    "array without shape": lambda h: _spec(h, "W").pop("shape"),
+    "array without dtype": lambda h: _spec(h, "W").pop("dtype"),
+    "object dtype": lambda h: _spec(h, "W").update(dtype="object"),
+    "float32 dtype": lambda h: _spec(h, "W").update(dtype="float32"),
+    "negative shape": lambda h: _spec(h, "u0").update(shape=[-4]),
+    "float shape": lambda h: _spec(h, "u0").update(shape=[4.0]),
+    "unknown kind": lambda h: h.update(kind="transformer"),
+    "kind lacks an array": lambda h: _rename(h, "W"),
+    "ta-rlbl lacks bin_width": lambda h: h["meta"].pop("bin_width"),
+    "corpus lacks an array": lambda h: _rename(h, "corpus_offsets"),
+    "corpus meta lacks user_ids": lambda h: h["meta"]["corpus"].pop("user_ids"),
+    "trailing bytes": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_snapshot_is_snapshot_error(tmp_path, capsys, case):
+    from rlbl.cli import EXIT_IO, main
+
+    c = small_corpus(seed=7)
+    p = init_ta_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=4, n=2, seed=7)
+    f = tmp_path / "m.snap"
+    save_snapshot(f, p, corpus=c)
+    header, payload = _split(f.read_bytes())
+    if case == "trailing bytes":
+        payload += b"\0"
+    elif case == "header is a list":
+        header = [header]
+    else:
+        MALFORMED[case](header)
+    f.write_bytes(_join(header, payload))
+    with pytest.raises(SnapshotError):
+        load_snapshot(f)
+    assert main(["predict", "--snapshot", str(f), "--user", "user-0", "--behavior", "0"]) == EXIT_IO

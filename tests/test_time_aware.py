@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from rlbl.model import hidden_at, hidden_chain
 from rlbl.time_aware import (
     TaRlblParams,
     TimeBinGrid,
     TimeError,
-    hidden_at_ta,
-    hidden_chain_ta,
     init_ta_rlbl_params,
     interp_matrix,
-    score_ta,
 )
 from tests.test_model import make_seq
 
@@ -124,16 +122,16 @@ def test_hidden_ta_matches_unrolled_reference():
     p = random_ta_params(seed=4)
     seq = random_ta_seq(p, 9, seed=5)
     for k in range(10):
-        assert np.allclose(hidden_at_ta(p, seq, k).h,
+        assert np.allclose(hidden_at(p, seq, k).h,
                            unrolled_reference_ta(p, seq, k), atol=1e-12), k
 
 
-def test_hidden_chain_ta_equals_hidden_at_ta():
+def test_ta_hidden_chain_equals_hidden_at():
     p = random_ta_params(seed=6)
     seq = random_ta_seq(p, 8, seed=7)
-    H = hidden_chain_ta(p, seq, 8)
+    H = hidden_chain(p, seq, 8)
     for k in range(9):
-        assert np.array_equal(H[k], hidden_at_ta(p, seq, k).h)
+        assert np.array_equal(H[k], hidden_at(p, seq, k).h)
 
 
 def test_shared_timestamp_uses_zero_bin_matrix_and_ignores_order():
@@ -143,7 +141,7 @@ def test_shared_timestamp_uses_zero_bin_matrix_and_ignores_order():
     behaviors = rng.integers(p.n_behaviors, size=6)
     seq = make_seq(items, behaviors, [1000] * 6)
     k = 5
-    got = hidden_at_ta(p, seq, k).h
+    got = hidden_at(p, seq, k).h
     # direct evaluation with T_0 everywhere
     T0 = p.grid.boundary_mats[0]
     expected = p.W @ (p.W @ p.u0 + sum(
@@ -156,11 +154,11 @@ def test_shared_timestamp_uses_zero_bin_matrix_and_ignores_order():
     seq2 = make_seq(np.concatenate([items[:2], items[2:5][::-1], items[5:]]),
                     np.concatenate([behaviors[:2], behaviors[2:5][::-1], behaviors[5:]]),
                     [1000] * 6)
-    assert np.allclose(hidden_at_ta(p, seq2, k).h, got, atol=1e-12)
+    assert np.allclose(hidden_at(p, seq2, k).h, got, atol=1e-12)
 
 
 def test_equal_boundary_matrices_reduce_to_rlbl():
-    from rlbl.model import RlblParams, hidden_at
+    from rlbl.model import RlblParams
 
     p = random_ta_params(seed=10)
     A = p.grid.boundary_mats[0].copy()
@@ -169,7 +167,7 @@ def test_equal_boundary_matrices_reduce_to_rlbl():
     rl = RlblParams(p.user_vecs, p.item_vecs, p.W,
                     np.stack([A] * p.n), p.M, p.u0)
     for k in range(8):
-        assert np.allclose(hidden_at_ta(p, seq, k).h, hidden_at(rl, seq, k).h, atol=1e-12)
+        assert np.allclose(hidden_at(p, seq, k).h, hidden_at(rl, seq, k).h, atol=1e-12)
 
 
 def test_time_shift_invariance_is_bit_exact():
@@ -177,17 +175,7 @@ def test_time_shift_invariance_is_bit_exact():
     seq = random_ta_seq(p, 9, seed=13)
     shifted = make_seq(seq.items, seq.behaviors, seq.timestamps + 123456789)
     for k in range(10):
-        assert np.array_equal(hidden_at_ta(p, seq, k).h, hidden_at_ta(p, shifted, k).h)
-
-
-def test_score_ta_matches_rlbl_scoring():
-    from rlbl.model import score
-
-    p = random_ta_params(seed=14)
-    rng = np.random.default_rng(15)
-    h = rng.normal(size=p.d)
-    rl_view = type("V", (), dict(user_vecs=p.user_vecs, M=p.M, item_vecs=p.item_vecs))
-    assert score_ta(p, h, 1, 2, 3) == pytest.approx(score(rl_view, h, 1, 2, 3), rel=1e-14)
+        assert np.array_equal(hidden_at(p, seq, k).h, hidden_at(p, shifted, k).h)
 
 
 def test_init_ta_params_seeded():

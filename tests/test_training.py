@@ -14,7 +14,7 @@ from rlbl.training import (
     TrainConfig,
     TrainingInstance,
     _apply_update,
-    _train_instance,
+    _train_group,
     _undo_update,
     bpr_pair_loss,
     gradient_check,
@@ -106,7 +106,7 @@ def test_sample_negative_never_returns_positive():
     rng = np.random.default_rng(1)
     pos = int(c.sequences[0].items[3])
     for _ in range(500):
-        assert sample_negative(c, 0, 3, 0, rng) != pos
+        assert sample_negative(c.n_items, pos, rng) != pos
 
 
 def test_sample_negative_uniform_over_remaining():
@@ -116,7 +116,7 @@ def test_sample_negative_uniform_over_remaining():
     n = 30000
     counts = np.zeros(c.n_items)
     for _ in range(n):
-        counts[sample_negative(c, 0, 3, 0, rng)] += 1
+        counts[sample_negative(c.n_items, pos, rng)] += 1
     assert counts[pos] == 0
     m = c.n_items - 1
     expect = n / m
@@ -129,7 +129,7 @@ def test_sample_negative_needs_two_items():
     events = [Event("u", "only", 0, t) for t in range(5)]
     c = build_corpus(events)
     with pytest.raises(SamplingError):
-        sample_negative(c, 0, 1, 0, np.random.default_rng(0))
+        sample_negative(c.n_items, 0, np.random.default_rng(0))
 
 
 # --- gradients vs finite differences ---------------------------------------
@@ -215,12 +215,11 @@ def test_pure_regularization_step_is_shrinkage():
     p = tiny_params(c, seed=9)
     p.item_vecs[:] = p.item_vecs[0]
     lam, eta = 0.1, 0.5
-    cfg = TrainConfig(lam=lam, learning_rate=eta, lr_policy="fixed",
-                      shared_reg="per-instance")
+    cfg = TrainConfig(lam=lam, learning_rate=eta, lr_policy="fixed")
     inst = an_instance(c, user=0, k=4)
     W0, C0, u00 = p.W.copy(), p.C.copy(), p.u0.copy()
     uu0 = p.user_vecs[inst.user_id].copy()
-    _train_instance(p, c.sequences[0], inst, cfg)
+    _train_group(p, c.sequences[0], [inst], cfg)  # shared_scale 1: the full lambda term
     f = 1.0 - eta * lam
     assert np.allclose(p.W, f * W0, atol=1e-12)
     assert np.allclose(p.C, f * C0, atol=1e-12)
@@ -230,24 +229,19 @@ def test_pure_regularization_step_is_shrinkage():
 
 def test_per_epoch_reg_amortizes_shared_decay():
     # with all vectors zeroed the data gradients vanish at every step, so
-    # only the lambda terms act: over one epoch of N instances
-    # "per-instance" decays W by (1-eta*lam)^N while "per-epoch" applies
-    # (1-eta*lam/N)^N ~ one full unit of decay in total
+    # only the lambda terms act: over one epoch of N instances W decays by
+    # (1-eta*lam/N)^N ~ one full unit of decay in total, not (1-eta*lam)^N
     c = tiny_corpus(seed=19)
     lam, eta = 0.1, 0.1
     n_inst = sum(len(training_positions(c, u)) for u in range(c.n_users))
-    results = {}
-    for mode in ("per-instance", "per-epoch"):
-        p = tiny_params(c, seed=19)
-        p.user_vecs[...] = 0.0
-        p.item_vecs[...] = 0.0
-        p.u0[...] = 0.0
-        W0 = p.W.copy()
-        cfg = TrainConfig(lam=lam, learning_rate=eta, shared_reg=mode)
-        sgd_epoch(p, c, cfg, np.random.default_rng(0))
-        results[mode] = np.linalg.norm(p.W) / np.linalg.norm(W0)
-    assert results["per-instance"] == pytest.approx((1 - eta * lam) ** n_inst, rel=1e-9)
-    assert results["per-epoch"] == pytest.approx((1 - eta * lam / n_inst) ** n_inst, rel=1e-9)
+    p = tiny_params(c, seed=19)
+    p.user_vecs[...] = 0.0
+    p.item_vecs[...] = 0.0
+    p.u0[...] = 0.0
+    W0 = p.W.copy()
+    sgd_epoch(p, c, TrainConfig(lam=lam, learning_rate=eta), np.random.default_rng(0))
+    ratio = np.linalg.norm(p.W) / np.linalg.norm(W0)
+    assert ratio == pytest.approx((1 - eta * lam / n_inst) ** n_inst, rel=1e-9)
 
 
 def test_frozen_behavior_mats():
@@ -265,7 +259,7 @@ def test_backtracking_never_increases_instance_loss():
     cfg = TrainConfig(lam=0.01, learning_rate=50.0, lr_policy="backtracking")
     inst = an_instance(c, user=0, k=5)
     seq = c.sequences[0]
-    loss0, step = _train_instance(p, seq, inst, cfg)
+    (loss0,), step = _train_group(p, seq, [inst], cfg)
     if step is not None:
         assert instance_loss(p, seq, inst, cfg) <= loss0 + 1e-12
         assert step <= 50.0
