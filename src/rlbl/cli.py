@@ -46,12 +46,10 @@ DEFAULT_CONFIG = {
     "train": {
         "lam": 0.01,
         "learning_rate": 0.05,
-        "lr_policy": "fixed",
         "lr_decay": 0.0,
         "negatives_per_positive": 1,
         "epochs": 10,
         "patience": 5,
-        "regularize_u0": True,
         "train_behavior_mats": True,
         "bptt_truncation": None,
         "clip_norm": 5.0,
@@ -62,6 +60,21 @@ DEFAULT_CONFIG = {
 }
 
 MODEL_KINDS = ("rlbl", "ta-rlbl", "pop", "markov", "linear-rnn")
+
+# a value of the right type for each key whose default does not show it:
+# the null defaults, and timestamp_unit, whose int default may be a fraction
+TYPE_OF = {"dataset.path": "", "dataset.behavior_map": {}, "dataset.target_behaviors": [0],
+           "dataset.timestamp_unit": 1.0, "train.bptt_truncation": 0, "out": ""}
+NULLABLE = ("train.clip_norm", "train.patience")  # null switches these off
+
+
+def _fits(value, like):
+    """Whether value has the type of ``like``; a float key also takes an int."""
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_fits(x, like[0]) for x in value)
+    if isinstance(like, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(like)
 
 
 def _merge(defaults, override, path=""):
@@ -76,6 +89,11 @@ def _merge(defaults, override, path=""):
         if isinstance(defaults[key], dict) and key not in ("columns", "behavior_map", "synth"):
             merged[key] = _merge(defaults[key], value, path + key + ".")
         else:
+            like = TYPE_OF.get(path + key, defaults[key])
+            nulled = value is None and (defaults[key] is None or path + key in NULLABLE)
+            if like is not None and not nulled and not _fits(value, like):
+                raise ConfigError(f"config key {path + key!r} must be of type "
+                                  f"{type(like).__name__}: {value!r}")
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -98,6 +116,8 @@ def load_config(path, seed_override=None, out_override=None):
         cfg["out"] = str(Path(root) / Path(path).stem)
     if cfg["model"]["kind"] not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
+    if min(cfg["model"][k] for k in ("d", "n", "n_bins")) < 1 or not cfg["model"]["bin_width"] > 0:
+        raise ConfigError(f"model d, n and n_bins must be >= 1 and bin_width > 0: {cfg['model']}")
     ds = cfg["dataset"]
     if ds["format"] not in ("movielens", "generic", "synthetic"):
         raise ConfigError(f"unknown dataset format {ds['format']!r}")
@@ -106,14 +126,9 @@ def load_config(path, seed_override=None, out_override=None):
     if ds["format"] != "synthetic" and not Path(ds["path"]).exists():
         raise ConfigError(f"dataset.path does not exist: {ds['path']}")
     cols, names = ds["columns"], DEFAULT_CONFIG["dataset"]["columns"]
-    if (not isinstance(cols, dict) or set(cols) != set(names)
-            or not all(type(c) is int and c >= 0 for c in cols.values())):
+    if set(cols) != set(names) or not all(type(c) is int and c >= 0 for c in cols.values()):
         raise ConfigError(f"dataset.columns must map exactly {', '.join(names)} "
                           f"to non-negative ints: {cols!r}")
-    if ds["behavior_map"] is not None and not isinstance(ds["behavior_map"], dict):
-        raise ConfigError("dataset.behavior_map must be null or a mapping")
-    if not isinstance(ds["synth"], dict):
-        raise ConfigError("dataset.synth must be a mapping")
     return cfg
 
 
@@ -165,13 +180,11 @@ def train_config(cfg):
     return training.TrainConfig(
         lam=t["lam"],
         learning_rate=t["learning_rate"],
-        lr_policy=t["lr_policy"],
         lr_decay=t["lr_decay"],
         negatives_per_positive=t["negatives_per_positive"],
         epochs=t["epochs"],
         rng_seed=cfg["seed"],
         bptt_truncation=t["bptt_truncation"],
-        regularize_u0=t["regularize_u0"],
         train_behavior_mats=t["train_behavior_mats"] and kind != "linear-rnn",
         clip_norm=t["clip_norm"],
     )
@@ -315,9 +328,8 @@ def run_gradcheck(seed=0, tolerance=1e-4, corrupt=False):
             pos_item=int(seq.items[k]),
             neg_item=training.sample_negative(corpus.n_items, int(seq.items[k]), rng),
         )
-        injected = None
-        if corrupt:
-            injected = training.instance_gradients(params, seq, inst, tcfg).scale(-1.0)
+        injected = (training.group_gradients(params, seq, [inst], tcfg)[1].scale(-1.0)
+                    if corrupt else None)
         report = training.gradient_check(params, seq, k, inst, tolerance=tolerance,
                                          cfg=tcfg, rng=rng, analytic_bundle=injected)
         for name, err in report.max_rel_error.items():

@@ -39,6 +39,15 @@ KIND_META = {"ta-rlbl": ("bin_width", "n")}
 CORPUS_ARRAYS = ("corpus_offsets", "corpus_items", "corpus_behaviors",
                  "corpus_timestamps", "corpus_train_end", "corpus_valid_end")
 CORPUS_META = ("n_users", "n_items", "n_behaviors", "user_ids", "item_ids")
+# the shape of each array, one letter per axis: equal letters are equal
+# sizes, bound by the corpus meta when present (u users, o = u + 1
+# offsets, i items, b behaviors) or else by the first array that has them;
+# d is the latent size, e the corpus events, + any size of at least 1 (no
+# position or boundary matrix would leave the forward chain without a step)
+SHAPES = {"user_vecs": "ud", "item_vecs": "id", "W": "dd", "C": "+dd", "boundary_mats": "+dd",
+          "M": "bdd", "u0": "d", "item_counts": "i", "transitions": "ii", "fallback": "i",
+          "row_observed": "i", "corpus_offsets": "o", "corpus_items": "e", "corpus_behaviors": "e",
+          "corpus_timestamps": "e", "corpus_train_end": "u", "corpus_valid_end": "u"}
 
 
 class SnapshotError(ValueError):
@@ -192,6 +201,36 @@ def _array_spec(path, spec):
     return spec["name"], np.dtype(spec["dtype"]), tuple(shape)
 
 
+def _check_values(path, kind, meta, arrs):
+    """Meta value types and cross-array shapes, so that the rebuilt model
+    and corpus index consistently."""
+    sizes, c = {}, meta.get("corpus")
+    if c is not None:
+        if not all(type(c[k]) is int and c[k] >= 0 for k in ("n_users", "n_items", "n_behaviors")):
+            raise SnapshotError(f"{path}: meta.corpus counts must be non-negative ints")
+        sizes = {"u": c["n_users"], "o": c["n_users"] + 1, "i": c["n_items"], "b": c["n_behaviors"]}
+        for key, n in (("user_ids", c["n_users"]), ("item_ids", c["n_items"])):
+            if not isinstance(c[key], list) or len(c[key]) != n:
+                raise SnapshotError(f"{path}: meta.corpus.{key} must list {n} ids")
+    for name in KIND_ARRAYS[kind] + (CORPUS_ARRAYS if c is not None else ()):
+        shape, letters = arrs[name].shape, SHAPES[name]
+        if len(shape) != len(letters) or any(
+                n < 1 if x == "+" else sizes.setdefault(x, n) != n for x, n in zip(letters, shape)):
+            raise SnapshotError(f"{path}: array {name} has shape {shape}, not {letters!r} {sizes}")
+    n, bw = meta.get("n", 1), meta.get("bin_width", 1.0)  # a window of 0 never grounds
+    if not (type(n) is int and n >= 1 and type(bw) in (int, float) and 0 < bw < math.inf):
+        raise SnapshotError(f"{path}: window width {n!r} or bin_width {bw!r} is invalid")
+    if c is not None:
+        off = arrs["corpus_offsets"]
+        if (any(arrs[name].dtype != np.int64 for name in CORPUS_ARRAYS) or off[0] != 0
+                or np.any(np.diff(off) < 0) or off[-1] != sizes["e"]):
+            raise SnapshotError(f"{path}: corpus arrays are not int64, or corpus_offsets "
+                                f"do not rise from 0 to the {sizes['e']} events")
+        for name, n in (("corpus_items", c["n_items"]), ("corpus_behaviors", c["n_behaviors"])):
+            if np.any((arrs[name] < 0) | (arrs[name] >= n)):
+                raise SnapshotError(f"{path}: {name} holds ids outside [0, {n})")
+
+
 def load_snapshot(path):
     """Read a snapshot; returns (kind, model, corpus-or-None).
 
@@ -236,6 +275,7 @@ def load_snapshot(path):
     if "corpus" in meta:
         _require(path, "arrays", arrs, CORPUS_ARRAYS)
         _require(path, "meta.corpus", meta["corpus"], CORPUS_META)
+    _check_values(path, kind, meta, arrs)
     model = _rebuild_model(kind, meta, arrs)
     corpus = _rebuild_corpus(meta["corpus"], arrs) if "corpus" in meta else None
     return kind, model, corpus

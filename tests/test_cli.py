@@ -217,6 +217,18 @@ def test_nonfinite_model_is_numeric_error(tmp_path, capsys):
     {"behavior_map": [1, 2]},
     {"synth": None},
     {"synth": [6, 12]},
+    # scalars of the wrong type; a dotted key names a section other than dataset
+    {"train.epochs": "ten"},
+    {"model.d": "8"},
+    {"eval.cutoffs": 5},
+    {"eval.cutoffs": [1, 2.5]},
+    {"train.lam": True},
+    {"train.bptt_truncation": "2"},
+    {"train.clip_norm": "off"},
+    {"has_header": "no"},
+    # a window of 0 would never ground the recurrent chain
+    {"model.n": 0},
+    {"model.d": 0},
 ])
 def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
     cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
@@ -225,5 +237,20 @@ def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
         events = tmp_path / "events.tsv"
         events.write_text("".join(f"u{t % 2}\ti{t % 5}\t0\t{t}\n" for t in range(24)))
         cfg["dataset"] = {"format": "generic", "path": str(events)}
-    cfg["dataset"].update(dataset)
+    for key, value in dataset.items():
+        section, _, name = key.rpartition(".")
+        cfg.setdefault(section or "dataset", {})[name] = value
     assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("section, values", [
+    ("train", {"lam": 1, "clip_norm": None, "patience": None, "bptt_truncation": 2}),
+    ("dataset", {"timestamp_unit": 0.001, "target_behaviors": [0, 1], "behavior_map": None}),
+    ("model", {"bin_width": 600}),
+])
+def test_scalar_types_that_fit_are_accepted(tmp_path, section, values):
+    # a float key takes an int, and null switches off the keys that allow it
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg.setdefault(section, {}).update(values)
+    loaded = load_config(write_cfg(tmp_path, cfg))
+    assert {k: loaded[section][k] for k in values} == values

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlbl.data import Event, build_corpus
 from rlbl.evaluation import (
@@ -37,6 +39,20 @@ def test_rank_matches_sort_oracle_with_ties():
         scores = rng.integers(0, 4, size=30).astype(float)
         t = int(rng.integers(30))
         assert rank_of_target(scores, t) == sort_oracle_rank(list(scores), t)
+
+
+# a few repeated values force ties; the infinities sit at both ends
+SCORE = st.one_of(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 2.5, math.inf]),
+                  st.floats(allow_nan=False))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(SCORE, min_size=1, max_size=40), st.data())
+def test_rank_is_position_in_stable_argsort(values, data):
+    scores = np.array(values)
+    target = data.draw(st.integers(0, len(values) - 1))
+    order = np.argsort(-scores, kind="stable")
+    assert rank_of_target(scores, target) == int(np.flatnonzero(order == target)[0]) + 1
 
 
 def test_rank_large_vector():

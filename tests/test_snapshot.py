@@ -124,6 +124,22 @@ def test_missing_file(tmp_path):
         load_snapshot(tmp_path / "nope.snap")
 
 
+@pytest.mark.parametrize("ta", [False, True])
+def test_empty_transition_stack_is_snapshot_error(tmp_path, ta):
+    # RLBL with no position matrix has window 0, which never grounds the
+    # chain; TA-RLBL with no boundary matrix has no matrix to interpolate
+    c = small_corpus(seed=8)
+    if ta:
+        p = init_ta_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=4, n=2, seed=8)
+        p.grid.boundary_mats = p.grid.boundary_mats[:0]
+    else:
+        p = init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=4, n=2, seed=8)
+        p.C = p.C[:0]
+    save_snapshot(tmp_path / "m.snap", p, corpus=c)
+    with pytest.raises(SnapshotError, match="boundary_mats" if ta else "array C"):
+        load_snapshot(tmp_path / "m.snap")
+
+
 def test_unsupported_object(tmp_path):
     with pytest.raises(SnapshotError):
         save_snapshot(tmp_path / "x.snap", object())
@@ -181,10 +197,42 @@ MALFORMED = {
     "corpus lacks an array": lambda h: _rename(h, "corpus_offsets"),
     "corpus meta lacks user_ids": lambda h: h["meta"]["corpus"].pop("user_ids"),
     "trailing bytes": None,
+    # values and cross-array shapes
+    "n_users is a string": lambda h: h["meta"]["corpus"].update(n_users="4"),
+    "n_users past the corpus": lambda h: h["meta"]["corpus"].update(n_users=50),
+    "n_behaviors disagrees with M": lambda h: h["meta"]["corpus"].update(n_behaviors=2),
+    "user_ids too short": lambda h: h["meta"]["corpus"]["user_ids"].pop(),
+    "W is 2 x 8": lambda h: _spec(h, "W").update(shape=[2, 8]),
+    "float timestamps": lambda h: _spec(h, "corpus_timestamps").update(dtype="float64"),
+    "bin_width is a string": lambda h: h["meta"].update(bin_width="3600"),
+    "window width 0": lambda h: h["meta"].update(n=0),
+    "window width is text": lambda h: h["meta"].update(n="two"),
+}
+
+# array name -> (flat index, value) written into the payload
+BAD_VALUES = {
+    "offsets fall": ("corpus_offsets", 2, 5),
+    "offsets end past the events": ("corpus_offsets", 4, 41),
+    "item id past n_items": ("corpus_items", 0, 99),
+    "negative behavior id": ("corpus_behaviors", 0, -1),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+def _poke(header, payload, name, index, value):
+    """The payload with element ``index`` of array ``name`` set to value."""
+    start = 0
+    for spec in header["arrays"]:
+        dtype = np.dtype(spec["dtype"])
+        size = int(np.prod(spec["shape"])) * dtype.itemsize
+        if spec["name"] == name:
+            arr = np.frombuffer(payload[start:start + size], dtype=dtype).copy()
+            arr.flat[index] = value
+            return payload[:start] + arr.tobytes() + payload[start + size:]
+        start += size
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", sorted({**MALFORMED, **BAD_VALUES}))
 def test_malformed_snapshot_is_snapshot_error(tmp_path, capsys, case):
     from rlbl.cli import EXIT_IO, main
 
@@ -197,6 +245,8 @@ def test_malformed_snapshot_is_snapshot_error(tmp_path, capsys, case):
         payload += b"\0"
     elif case == "header is a list":
         header = [header]
+    elif case in BAD_VALUES:
+        payload = _poke(header, payload, *BAD_VALUES[case])
     else:
         MALFORMED[case](header)
     f.write_bytes(_join(header, payload))

@@ -1,11 +1,10 @@
-import copy
 import math
 
 import numpy as np
 import pytest
 
 from rlbl.data import Event, build_corpus
-from rlbl.model import init_rlbl_params
+from rlbl.model import hidden_path, init_rlbl_params
 from rlbl.time_aware import init_ta_rlbl_params
 from rlbl.training import (
     GradientBundle,
@@ -13,13 +12,11 @@ from rlbl.training import (
     SamplingError,
     TrainConfig,
     TrainingInstance,
-    _apply_update,
     _train_group,
-    _undo_update,
     bpr_pair_loss,
     gradient_check,
-    instance_gradients,
-    instance_loss,
+    group_gradients,
+    pair_losses,
     sample_negative,
     sgd_epoch,
     train,
@@ -51,6 +48,17 @@ def an_instance(corpus, user=0, k=4):
     seq = corpus.sequences[user]
     return TrainingInstance(user, k, int(seq.behaviors[k]), int(seq.items[k]),
                             (int(seq.items[k]) + 1) % corpus.n_items)
+
+
+def pair_loss(params, seq, inst, cfg):
+    """The objective of one pair, recomputing the forward chain."""
+    (loss,) = pair_losses(params, hidden_path(params, seq, inst.position)[1][0], [inst], cfg)
+    return loss
+
+
+def gradients(params, seq, inst, cfg):
+    """The analytic gradient bundle of a one-pair group."""
+    return group_gradients(params, seq, [inst], cfg)[1]
 
 
 # --- loss ------------------------------------------------------------------
@@ -86,7 +94,7 @@ def test_instance_loss_zero_params_is_ln2():
         arr[...] = 0.0
     cfg = TrainConfig(lam=0.0, learning_rate=0.1)
     inst = an_instance(c)
-    assert instance_loss(p, c.sequences[0], inst, cfg) == pytest.approx(math.log(2.0))
+    assert pair_loss(p, c.sequences[0], inst, cfg) == pytest.approx(math.log(2.0))
 
 
 def test_regularization_added_to_loss():
@@ -94,8 +102,8 @@ def test_regularization_added_to_loss():
     p = tiny_params(c)
     inst = an_instance(c)
     seq = c.sequences[0]
-    base = instance_loss(p, seq, inst, TrainConfig(lam=0.0, learning_rate=0.1))
-    reg = instance_loss(p, seq, inst, TrainConfig(lam=0.5, learning_rate=0.1))
+    base = pair_loss(p, seq, inst, TrainConfig(lam=0.0, learning_rate=0.1))
+    reg = pair_loss(p, seq, inst, TrainConfig(lam=0.5, learning_rate=0.1))
     assert reg > base
 
 
@@ -160,9 +168,41 @@ def test_gradient_check_negative_control():
     p = tiny_params(c, seed=5)
     cfg = TrainConfig(lam=0.01, learning_rate=0.1)
     inst = an_instance(c, user=0, k=5)
-    bad = instance_gradients(p, c.sequences[0], inst, cfg).scale(-1.0)
+    bad = gradients(p, c.sequences[0], inst, cfg).scale(-1.0)
     rep = gradient_check(p, c.sequences[0], 5, inst, cfg=cfg, analytic_bundle=bad)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("ta", [False, True])
+def test_gradient_check_multi_negative_group(ta):
+    # three pairs at one position, one negative drawn twice: the summed
+    # output-layer rows, the repeated item row and the lambda terms once per
+    # pair must all match finite differences of the summed pair losses
+    c = tiny_corpus(seed=20)
+    p = tiny_params(c, ta=ta, seed=20)
+    seq, k = c.sequences[2], 7
+    pos = int(seq.items[k])
+    negs = [(pos + 1) % c.n_items, (pos + 3) % c.n_items, (pos + 1) % c.n_items]
+    group = [TrainingInstance(2, k, int(seq.behaviors[k]), pos, v) for v in negs]
+    cfg = TrainConfig(lam=0.01, learning_rate=0.1)
+    rep = gradient_check(p, seq, k, group, cfg=cfg)
+    assert rep.passed, rep.max_rel_error
+    # the group objective is the sum of its pairs, and so is its gradient
+    one = [gradients(p, seq, inst, cfg) for inst in group]
+    summed = group_gradients(p, seq, group, cfg)[1]
+    for name in ("W", "trans", "M", "u0"):
+        assert np.allclose(getattr(summed, name), sum(getattr(b, name) for b in one))
+    assert set(summed.item_rows) == set().union(*(b.item_rows for b in one))
+    for v, row in summed.item_rows.items():
+        assert np.allclose(row, sum(b.item_rows.get(v, 0.0) for b in one))
+
+
+def test_gradient_check_rejects_a_mixed_group():
+    c = tiny_corpus(seed=21)
+    p = tiny_params(c, seed=21)
+    group = [an_instance(c, user=0, k=5), an_instance(c, user=0, k=6)]
+    with pytest.raises(ValueError):
+        gradient_check(p, c.sequences[0], 5, group)
 
 
 def test_truncation_full_depth_matches_untruncated():
@@ -171,8 +211,8 @@ def test_truncation_full_depth_matches_untruncated():
     cfg_full = TrainConfig(lam=0.01, learning_rate=0.1, bptt_truncation=None)
     cfg_deep = TrainConfig(lam=0.01, learning_rate=0.1, bptt_truncation=100)
     inst = an_instance(c, user=0, k=8)
-    a = instance_gradients(p, c.sequences[0], inst, cfg_full)
-    b = instance_gradients(p, c.sequences[0], inst, cfg_deep)
+    a = gradients(p, c.sequences[0], inst, cfg_full)
+    b = gradients(p, c.sequences[0], inst, cfg_deep)
     assert np.array_equal(a.W, b.W)
     assert np.array_equal(a.trans, b.trans)
     assert np.array_equal(a.u0, b.u0)
@@ -183,7 +223,7 @@ def test_truncation_zero_keeps_only_output_layer():
     p = tiny_params(c, seed=7)
     cfg = TrainConfig(lam=0.0, learning_rate=0.1, bptt_truncation=0)
     inst = an_instance(c, user=0, k=8)
-    b = instance_gradients(p, c.sequences[0], inst, cfg)
+    b = gradients(p, c.sequences[0], inst, cfg)
     assert np.array_equal(b.W, np.zeros_like(b.W))
     assert np.array_equal(b.trans, np.zeros_like(b.trans))
     assert np.array_equal(b.u0, np.zeros_like(b.u0))
@@ -194,20 +234,6 @@ def test_truncation_zero_keeps_only_output_layer():
 
 # --- updates ---------------------------------------------------------------
 
-def test_apply_undo_roundtrip():
-    c = tiny_corpus(seed=8)
-    p = tiny_params(c, seed=8)
-    cfg = TrainConfig(lam=0.01, learning_rate=0.2)
-    inst = an_instance(c, user=0, k=5)
-    snap = copy.deepcopy(p)
-    bundle = instance_gradients(p, c.sequences[0], inst, cfg)
-    undo = _apply_update(p, bundle, 0.2, cfg)
-    assert not np.array_equal(p.W, snap.W)
-    _undo_update(p, undo)
-    for name in ("user_vecs", "item_vecs", "W", "C", "M", "u0"):
-        assert np.array_equal(getattr(p, name), getattr(snap, name)), name
-
-
 def test_pure_regularization_step_is_shrinkage():
     # with identical item vectors the pairwise signal vanishes and one fixed
     # step multiplies W, the transition stack, u0 and u_u by (1 - eta*lam)
@@ -215,11 +241,11 @@ def test_pure_regularization_step_is_shrinkage():
     p = tiny_params(c, seed=9)
     p.item_vecs[:] = p.item_vecs[0]
     lam, eta = 0.1, 0.5
-    cfg = TrainConfig(lam=lam, learning_rate=eta, lr_policy="fixed")
+    cfg = TrainConfig(lam=lam, learning_rate=eta)
     inst = an_instance(c, user=0, k=4)
     W0, C0, u00 = p.W.copy(), p.C.copy(), p.u0.copy()
     uu0 = p.user_vecs[inst.user_id].copy()
-    _train_group(p, c.sequences[0], [inst], cfg)  # shared_scale 1: the full lambda term
+    _train_group(p, c.sequences[0], [inst], cfg, 1.0, eta)  # shared_scale 1: the full lambda term
     f = 1.0 - eta * lam
     assert np.allclose(p.W, f * W0, atol=1e-12)
     assert np.allclose(p.C, f * C0, atol=1e-12)
@@ -251,18 +277,6 @@ def test_frozen_behavior_mats():
     M0 = p.M.copy()
     train(p, c, cfg)
     assert np.array_equal(p.M, M0)
-
-
-def test_backtracking_never_increases_instance_loss():
-    c = tiny_corpus(seed=11)
-    p = tiny_params(c, seed=11)
-    cfg = TrainConfig(lam=0.01, learning_rate=50.0, lr_policy="backtracking")
-    inst = an_instance(c, user=0, k=5)
-    seq = c.sequences[0]
-    (loss0,), step = _train_group(p, seq, [inst], cfg)
-    if step is not None:
-        assert instance_loss(p, seq, inst, cfg) <= loss0 + 1e-12
-        assert step <= 50.0
 
 
 def test_numeric_error_on_nonfinite_params():
@@ -327,8 +341,6 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(negatives_per_positive=0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr_policy="adagrad")
 
 
 def test_bundle_scale():
@@ -336,8 +348,8 @@ def test_bundle_scale():
     p = tiny_params(c, seed=18)
     inst = an_instance(c)
     cfg = TrainConfig(lam=0.01, learning_rate=0.1)
-    a = instance_gradients(p, c.sequences[0], inst, cfg)
-    b = instance_gradients(p, c.sequences[0], inst, cfg).scale(2.0)
+    a = gradients(p, c.sequences[0], inst, cfg)
+    b = gradients(p, c.sequences[0], inst, cfg).scale(2.0)
     assert np.allclose(2.0 * a.W, b.W)
     for i in a.user_rows:
         assert np.allclose(2.0 * a.user_rows[i], b.user_rows[i])
