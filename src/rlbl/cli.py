@@ -118,6 +118,8 @@ def load_config(path, seed_override=None, out_override=None):
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
     if min(cfg["model"][k] for k in ("d", "n", "n_bins")) < 1 or not cfg["model"]["bin_width"] > 0:
         raise ConfigError(f"model d, n and n_bins must be >= 1 and bin_width > 0: {cfg['model']}")
+    if (cfg["train"]["patience"] or 0) < 0:
+        raise ConfigError(f"train.patience must be >= 0 or null: {cfg['train']['patience']}")
     ds = cfg["dataset"]
     if ds["format"] not in ("movielens", "generic", "synthetic"):
         raise ConfigError(f"unknown dataset format {ds['format']!r}")
@@ -214,6 +216,7 @@ def _write_resolved(cfg, out_dir):
 
 
 def cmd_train(cfg):
+    tcfg = train_config(cfg)  # range errors exit before any work or output
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = load_corpus(cfg)
@@ -225,7 +228,6 @@ def cmd_train(cfg):
         print(f"fitted {cfg['model']['kind']} baseline -> {out_dir / 'model.snap'}")
         return EXIT_OK
 
-    tcfg = train_config(cfg)
     vcfg = eval_config(cfg, segment="valid")
     rng = np.random.default_rng(tcfg.rng_seed)
     patience = cfg["train"]["patience"]

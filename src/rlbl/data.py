@@ -71,9 +71,6 @@ class Corpus:
     item_ids: list = field(default_factory=list)
     report: BuildReport = field(default_factory=BuildReport)
 
-    def sequence(self, user_id):
-        return self.sequences[user_id]
-
 
 def build_corpus(events, split_fracs=(0.7, 0.1)):
     """Group, sort, densify and split a flat event list into a Corpus.

@@ -16,10 +16,15 @@ the first position below n. Scoring is the inner product
 
 The forward pass and scoring here serve both model kinds. A parameter
 class differs from the other only in its window-matrix provider:
-``window(seq, p, i)`` gives the matrix for window offset i at layer p
-together with the (stack index, weight) pairs its gradient splits over,
-and ``trans`` is the stack those indices address (C here, the time-bin
-boundary matrices for TA-RLBL).
+``windows(seq, layers, i)`` gives the (m, d, d) stack of window offset
+i's matrices at an array of layer positions, with the (lo, hi, w_lo,
+w_hi) arrays of the ``trans`` entries each row's gradient splits over
+(``trans`` is C here, the time-bin boundary matrices for TA-RLBL).
+
+The forward computes M_b r_v once per event and each offset's window
+terms once for all layers, then adds W h_prev and the terms in offset
+order. Batched matrix-vector products use stacked 3-D ``np.matmul``,
+which gives the bits of one ``A @ z`` each (a 2-D gemm does not).
 """
 
 from dataclasses import dataclass
@@ -35,30 +40,8 @@ class NumericError(FloatingPointError):
     """Raised when a loss or a score is not a finite number."""
 
 
-@dataclass
-class RlblParams:
-    """All learnable tensors of the RLBL model."""
-
-    user_vecs: np.ndarray  # (n_users, d)
-    item_vecs: np.ndarray  # (n_items, d)
-    W: np.ndarray          # (d, d) recurrence
-    C: np.ndarray          # (n, d, d) position-specific, C[0] = most recent
-    M: np.ndarray          # (n_behaviors, d, d) behavior-specific
-    u0: np.ndarray         # (d,) cold-start state
-
-    @property
-    def n(self):
-        return self.C.shape[0]
-
-    @property
-    def trans(self):
-        """The stack that window() indices address."""
-        return self.C
-
-    def window(self, seq, p, i):
-        """Matrix for window offset i at layer p, with the (trans index,
-        weight) pairs its gradient splits over: C_i, whatever the times."""
-        return self.C[i], ((i, 1.0),)
+class Sizes:
+    """Sizes read off the tensors of either parameter class."""
 
     @property
     def d(self):
@@ -75,6 +58,34 @@ class RlblParams:
     @property
     def n_behaviors(self):
         return self.M.shape[0]
+
+
+@dataclass
+class RlblParams(Sizes):
+    """All learnable tensors of the RLBL model."""
+
+    user_vecs: np.ndarray  # (n_users, d)
+    item_vecs: np.ndarray  # (n_items, d)
+    W: np.ndarray          # (d, d) recurrence
+    C: np.ndarray          # (n, d, d) position-specific, C[0] = most recent
+    M: np.ndarray          # (n_behaviors, d, d) behavior-specific
+    u0: np.ndarray         # (d,) cold-start state
+
+    @property
+    def n(self):
+        return self.C.shape[0]
+
+    @property
+    def trans(self):
+        """The stack that windows() indices address."""
+        return self.C
+
+    def windows(self, seq, layers, i):
+        """C_i for each of the m layers as a broadcast (m, d, d) view, with
+        its split (lo, hi, w_lo, w_hi): all of the gradient goes to C_i."""
+        m = len(layers)
+        lo = np.full(m, i)
+        return np.broadcast_to(self.C[i], (m, self.d, self.d)), (lo, lo, np.ones(m), np.zeros(m))
 
 
 @dataclass
@@ -108,52 +119,67 @@ def _check_position(seq, k):
         raise PositionError(f"position {k} outside sequence of length {len(seq)}")
 
 
-def _layer(params, seq, p, prev):
-    """h_p from the state it recurs on: W prev plus the window terms."""
-    acc = params.W @ prev
-    n = params.n
-    for i in range(n if p >= n else p):
-        j = p - i  # 1-based event position
-        A, _ = params.window(seq, p, i)
-        acc += A @ (params.M[seq.behaviors[j - 1]] @ params.item_vecs[seq.items[j - 1]])
-    return acc
+def _matvecs(A, Z):
+    """A[j] @ Z[j] for every row j, with the bits of one 2-D product each."""
+    return np.matmul(A, Z[:, :, None])[:, :, 0]
+
+
+def prefix_products(params, seq, upto):
+    """Z[j] = M_b r_v of the event at 1-based position j+1, for j < upto."""
+    return _matvecs(params.M[seq.behaviors[:upto]], params.item_vecs[seq.items[:upto]])
 
 
 def hidden_chain(params, seq, upto):
-    """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0)."""
+    """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0), n
+    positions per step: block s..s+n-1 recurs on the block before it."""
     _check_position(seq, upto)
-    n = params.n
-    H = np.empty((upto + 1, params.d))
+    n, d = params.n, params.d
+    H = np.empty((upto + 1, d))
     H[0] = params.u0
-    for k in range(1, upto + 1):
-        H[k] = _layer(params, seq, k, H[k - n] if k >= n else H[0])
+    Z, P = prefix_products(params, seq, upto), np.arange(1, upto + 1)
+    # offset i's terms at positions i+1..upto; each stack is dropped once used
+    terms = [_matvecs(params.windows(seq, P[i:], i)[0], Z[:upto - i])
+             for i in range(min(n, upto))]
+    Wn, H3 = np.broadcast_to(params.W, (n, d, d)), H[:, :, None]
+    for s in range(1, upto + 1, n):
+        e = min(s + n, upto + 1)
+        np.matmul(Wn[:e - s], H3[s - n:e - n] if s > n else H3[:1], out=H3[s:e])
+        for i, T in enumerate(terms):
+            lo = max(s, i + 1)  # offset i reaches back from positions above i
+            H[lo:e] += T[lo - i - 1:e - i - 1]
     return H
 
 
 def hidden_path(params, seq, k):
     """States along the anchored chain k, k-n, ..., ground.
 
-    Returns (positions, states): positions descending from k to the
-    grounding layer plus a final 0, states aligned with them (states[-1]
-    is u0). Only the chain positions are evaluated, not every prefix.
+    Returns (positions, states, (Z, wins)): positions descending from k to
+    the grounding layer plus a final 0, states aligned with them (states[-1]
+    is u0), the prefix_products up to k, and for each window offset i the
+    (stack, split, terms) of windows() over the chain layers above i, rows
+    in chain order (only the grounding layer can be missing), with
+    terms[r] = stack[r] @ Z[p_r - i - 1]. Only the chain is evaluated.
     """
     _check_position(seq, k)
-    n = params.n
-    chain = []
-    p = k
-    while p >= 1:
-        chain.append(p)
-        p = p - n if p >= n else 0
+    chain = list(range(k, 0, -params.n))
+    Z, layers = prefix_products(params, seq, k), np.array(chain, dtype=np.int64)
+    wins = []
+    for i in range(min(params.n, k)):
+        ps = layers[layers > i]
+        stack, split = params.windows(seq, ps, i)
+        wins.append((stack, split, _matvecs(stack, Z[ps - i - 1])))
     states = [params.u0]
-    for p in reversed(chain):
-        states.append(_layer(params, seq, p, states[-1]))
-    return chain + [0], states[::-1]
+    for depth in range(len(chain) - 1, -1, -1):
+        h = params.W @ states[-1]
+        for _, _, terms in wins[:chain[depth]]:
+            h += terms[depth]
+        states.append(h)
+    return chain + [0], states[::-1], (Z, wins)
 
 
 def hidden_at(params, seq, k):
     """Hidden state at position k, following the anchored chain k, k-n, ..."""
-    _, states = hidden_path(params, seq, k)
-    return HiddenState(h=states[0], position=k)
+    return HiddenState(h=hidden_path(params, seq, k)[1][0], position=k)
 
 
 def _state_vec(h):

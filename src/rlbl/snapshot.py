@@ -56,23 +56,11 @@ class SnapshotError(ValueError):
 
 def _model_payload(params):
     if isinstance(params, RlblParams):
-        return "rlbl", {}, [
-            ("user_vecs", params.user_vecs),
-            ("item_vecs", params.item_vecs),
-            ("W", params.W),
-            ("C", params.C),
-            ("M", params.M),
-            ("u0", params.u0),
-        ]
+        return "rlbl", {}, [(name, getattr(params, name)) for name in KIND_ARRAYS["rlbl"]]
     if isinstance(params, TaRlblParams):
         return "ta-rlbl", {"bin_width": params.grid.bin_width, "n": params.n}, [
-            ("user_vecs", params.user_vecs),
-            ("item_vecs", params.item_vecs),
-            ("W", params.W),
-            ("boundary_mats", params.grid.boundary_mats),
-            ("M", params.M),
-            ("u0", params.u0),
-        ]
+            (name, getattr(params.grid if name == "boundary_mats" else params, name))
+            for name in KIND_ARRAYS["ta-rlbl"]]
     if isinstance(params, PopModel):
         return "pop", {}, [("item_counts", params.item_counts)]
     if isinstance(params, MarkovModel):
@@ -98,14 +86,8 @@ def _corpus_payload(corpus):
         "user_ids": [str(x) for x in corpus.user_ids],
         "item_ids": [str(x) for x in corpus.item_ids],
     }
-    arrays = [
-        ("corpus_offsets", offsets),
-        ("corpus_items", items),
-        ("corpus_behaviors", behaviors),
-        ("corpus_timestamps", timestamps),
-        ("corpus_train_end", corpus.train_end),
-        ("corpus_valid_end", corpus.valid_end),
-    ]
+    arrays = list(zip(CORPUS_ARRAYS, (offsets, items, behaviors, timestamps,
+                                      corpus.train_end, corpus.valid_end)))
     return meta, arrays
 
 

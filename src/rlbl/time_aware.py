@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rlbl.model import Sizes
 
 class TimeError(ValueError):
     """Raised for negative time differences."""
@@ -33,13 +34,9 @@ class TimeBinGrid:
     def n_bins(self):
         return self.boundary_mats.shape[0] - 1
 
-    @property
-    def d(self):
-        return self.boundary_mats.shape[1]
-
 
 @dataclass
-class TaRlblParams:
+class TaRlblParams(Sizes):
     """TA-RLBL learnable tensors; like RlblParams with C replaced by a grid."""
 
     user_vecs: np.ndarray  # (n_users, d)
@@ -52,30 +49,15 @@ class TaRlblParams:
 
     @property
     def trans(self):
-        """The stack that window() indices address: the boundary matrices."""
+        """The stack that windows() indices address: the boundary matrices."""
         return self.grid.boundary_mats
 
-    def window(self, seq, p, i):
-        """T(t_d) for the gap between layer p's event and the one i before
-        it, with the boundary matrices and weights it blends."""
+    def windows(self, seq, layers, i):
+        """T(t_d) for the gap between each layer's event and the one i before
+        it, as an (m, d, d) stack, with the boundary matrices and weights
+        each row blends."""
         ts = seq.timestamps
-        return _blend(self.grid, max(int(ts[p - 1]) - int(ts[p - 1 - i]), 0))
-
-    @property
-    def d(self):
-        return self.W.shape[0]
-
-    @property
-    def n_users(self):
-        return self.user_vecs.shape[0]
-
-    @property
-    def n_items(self):
-        return self.item_vecs.shape[0]
-
-    @property
-    def n_behaviors(self):
-        return self.M.shape[0]
+        return interp_stack(self.grid, np.maximum(ts[layers - 1] - ts[layers - 1 - i], 0))
 
 
 def init_ta_rlbl_params(n_users, n_items, n_behaviors, d, n, bin_width=3600.0,
@@ -100,35 +82,43 @@ def init_ta_rlbl_params(n_users, n_items, n_behaviors, d, n, bin_width=3600.0,
 
 
 def interp_weights(grid, t_d):
-    """Indices and weights of the boundary matrices blending at t_d.
+    """Indices and weights of the boundary matrices blending at each t_d.
 
-    Returns (lo, hi, w_lo, w_hi). At an exact boundary (and beyond the last
-    one) the full weight sits on a single matrix.
+    Returns (lo, hi, w_lo, w_hi) arrays shaped like t_d. At an exact
+    boundary (and beyond the last one) the full weight sits on a single
+    matrix: lo == hi, w_lo = 1, w_hi = 0.
     """
-    if t_d < 0:
-        raise TimeError(f"negative time difference: {t_d}")
+    t = np.asarray(t_d, dtype=float)
+    if not (t >= 0).all():
+        raise TimeError(f"negative or NaN time difference: {t.min()}")
     w = grid.bin_width
     last = grid.n_bins
-    if t_d >= last * w:
-        return last, last, 1.0, 0.0
-    j = int(np.floor(t_d / w))
+    past = t >= last * w
+    j = np.where(past, last, np.floor(t / w))
     lo = j * w
-    if t_d == lo:
-        return j, j, 1.0, 0.0
-    hi = lo + w
-    return j, j + 1, (hi - t_d) / w, (t_d - lo) / w
+    one = past | (t == lo)
+    j = j.astype(np.int64)
+    return (j, np.where(one, j, j + 1),
+            np.where(one, 1.0, (lo + w - t) / w), np.where(one, 0.0, (t - lo) / w))
 
 
-def _blend(grid, t_d):
-    """T(t_d) plus the (boundary index, weight) pairs it blends; at a single
-    boundary the matrix is a view into the grid."""
-    lo, hi, w_lo, w_hi = interp_weights(grid, t_d)
+def interp_stack(grid, t_d):
+    """T(t_d) for each time difference in a 1-D array as an (m, d, d) stack,
+    with the (lo, hi, w_lo, w_hi) split of interp_weights; a row on a single
+    boundary is that boundary matrix exactly."""
+    split = lo, hi, w_lo, w_hi = interp_weights(grid, t_d)
     mats = grid.boundary_mats
-    if lo == hi:
-        return mats[lo], ((lo, 1.0),)
-    return w_lo * mats[lo] + w_hi * mats[hi], ((lo, w_lo), (hi, w_hi))
+    stack = mats[lo]
+    two = lo != hi
+    blend = stack[two]  # blended in place: the stacks are the forward's largest arrays
+    blend *= w_lo[two][:, None, None]
+    upper = mats[hi[two]]
+    upper *= w_hi[two][:, None, None]
+    blend += upper
+    stack[two] = blend
+    return stack, split
 
 
 def interp_matrix(grid, t_d):
     """Time-specific transition matrix for time difference t_d (seconds)."""
-    return np.array(_blend(grid, t_d)[0])
+    return interp_stack(grid, [t_d])[0][0]

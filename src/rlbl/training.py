@@ -16,9 +16,9 @@ finite-difference oracle (:func:`gradient_check`) checks it against
 
 Both model kinds share this module through their window-matrix provider
 (see rlbl.model): the "transition stack" is ``params.trans``, and each
-window-term gradient splits over the stack entries ``params.window`` names
-(one position matrix for RLBL; the two blending boundary matrices, with
-the interpolation weights, for TA-RLBL).
+window-term gradient splits over the stack entries the forward's window
+stacks name (one position matrix for RLBL; the two blending boundary
+matrices, with the interpolation weights, for TA-RLBL).
 """
 
 import math
@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("lr_decay must be >= 0")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
+        if self.epochs < 0 or (self.bptt_truncation or 0) < 0:
+            raise ValueError("epochs and bptt_truncation must be >= 0")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0 or None")
 
@@ -227,29 +229,29 @@ def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
 def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     """Propagate dJ/dh_k down the chain k, k-n, ..., accumulating into bundle.
 
-    ``path`` is the forward pass from hidden_path. At each layer the window
-    items receive M^T A^T g, the transition matrices g (M r)^T (split over
-    the two boundary matrices for TA-RLBL), the window behavior matrices
-    A^T g r^T, and W picks up g h_prev^T. The chain grounds at u0 with
-    dJ/du0 = W^T g of the deepest layer.
+    ``path`` is the forward pass from hidden_path, whose stacks give each
+    window term's A, its split and M r. At each layer the window items
+    receive M^T A^T g, the transition matrices g (M r)^T (split over the two
+    boundary matrices for TA-RLBL), the window behavior matrices A^T g r^T,
+    and W picks up g h_prev^T. The chain grounds at u0 with dJ/du0 = W^T g
+    of the deepest layer.
     """
-    positions, states = path
+    positions, states, (Z, wins) = path
+    wins = [(stack, *(a.tolist() for a in split)) for stack, split, _ in wins]
     g = np.array(dJ_dh)
     for depth, p in enumerate(positions[:-1]):  # the final entry is layer 0
         if truncation is not None and depth >= truncation:
             return bundle
-        for i in range(min(params.n, p)):
-            v = int(seq.items[p - i - 1])
-            b = int(seq.behaviors[p - i - 1])
-            r = params.item_vecs[v]
-            Mb = params.M[b]
-            A, weights = params.window(seq, p, i)
-            Atg = A.T @ g
-            _add_row(bundle.item_rows, v, Mb.T @ Atg)
-            GA = np.outer(g, Mb @ r)
-            for idx, wt in weights:
-                bundle.trans[idx] += wt * GA
-            bundle.M[b] += np.outer(Atg, r)
+        for i, (stack, lo, hi, w_lo, w_hi) in enumerate(wins[:p]):
+            j = p - i - 1  # the window event, 0-based
+            v, b = int(seq.items[j]), int(seq.behaviors[j])
+            Atg = stack[depth].T @ g
+            _add_row(bundle.item_rows, v, params.M[b].T @ Atg)
+            GA = np.outer(g, Z[j])
+            bundle.trans[lo[depth]] += w_lo[depth] * GA
+            if hi[depth] != lo[depth]:
+                bundle.trans[hi[depth]] += w_hi[depth] * GA
+            bundle.M[b] += np.outer(Atg, params.item_vecs[v])
         bundle.W += np.outer(g, states[depth + 1])
         g = params.W.T @ g
     bundle.u0 += g

@@ -243,6 +243,17 @@ def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
     assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key", ["epochs", "bptt_truncation", "patience"])
+def test_negative_train_counts_are_config_errors(tmp_path, key):
+    # -1 used to train nothing (epochs), act as 0 (truncation) or stop after
+    # the first epoch without a new best (patience), and exit 0
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    cfg["train"][key] = -1
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, values", [
     ("train", {"lam": 1, "clip_norm": None, "patience": None, "bptt_truncation": 2}),
     ("dataset", {"timestamp_unit": 0.001, "target_behaviors": [0, 1], "behavior_map": None}),

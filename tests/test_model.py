@@ -7,10 +7,12 @@ from rlbl.model import (
     RlblParams,
     hidden_at,
     hidden_chain,
+    hidden_path,
     init_rlbl_params,
     score,
     score_all_items,
 )
+from rlbl.time_aware import TaRlblParams, TimeBinGrid, interp_matrix
 
 
 def make_seq(items, behaviors=None, timestamps=None, user_id=0):
@@ -189,3 +191,145 @@ def test_init_is_seeded_and_reproducible():
         assert np.array_equal(x, y)
     c = init_rlbl_params(4, 7, 2, d=6, n=3, seed=43)
     assert not np.array_equal(a.W, c.W)
+
+
+# ---------------------------------------------------------------------------
+# the batched forward against a per-position reference
+
+HOUR = 3600.0
+
+
+def reference_window(params, seq, p, i):
+    """Matrix for window offset i at layer p, one at a time: C_i, or the
+    interpolated boundary matrices for the gap to the newest window event."""
+    if isinstance(params, RlblParams):
+        return params.C[i]
+    grid, ts = params.grid, seq.timestamps
+    t_d = max(int(ts[p - 1]) - int(ts[p - 1 - i]), 0)
+    w, last, mats = grid.bin_width, grid.n_bins, grid.boundary_mats
+    if t_d >= last * w:
+        return mats[last]
+    j = int(np.floor(t_d / w))
+    lo = j * w
+    if t_d == lo:
+        return mats[j]
+    return (lo + w - t_d) / w * mats[j] + (t_d - lo) / w * mats[j + 1]
+
+
+def reference_layer(params, seq, p, prev):
+    """h_p = W prev, then each window term in offset order."""
+    acc = params.W @ prev
+    for i in range(min(params.n, p)):
+        j = p - i
+        z = params.M[seq.behaviors[j - 1]] @ params.item_vecs[seq.items[j - 1]]
+        acc += reference_window(params, seq, p, i) @ z
+    return acc
+
+
+def reference_chain(params, seq, upto):
+    n = params.n
+    H = [params.u0]
+    for k in range(1, upto + 1):
+        H.append(reference_layer(params, seq, k, H[k - n] if k >= n else H[0]))
+    return np.array(H)
+
+
+def random_ta_params(n_users=3, n_items=10, n_behaviors=3, d=4, n=3, n_bins=6, seed=0):
+    rng = np.random.default_rng(seed)
+    return TaRlblParams(
+        user_vecs=rng.normal(size=(n_users, d)),
+        item_vecs=rng.normal(size=(n_items, d)),
+        W=rng.normal(size=(d, d)) * 0.4,
+        grid=TimeBinGrid(bin_width=HOUR,
+                         boundary_mats=rng.normal(size=(n_bins + 1, d, d)) * 0.4),
+        M=rng.normal(size=(n_behaviors, d, d)) * 0.4,
+        u0=rng.normal(size=d),
+        n=n,
+    )
+
+
+def quarter_hour_seq(params, length, seed):
+    """Gaps in quarter hours from 0 to 6 h, so that window gaps land on bin
+    boundaries, inside bins, on equal timestamps and past a 4-hour grid."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(0, 25, size=length) * 900)
+    return make_seq(rng.integers(params.n_items, size=length),
+                    rng.integers(params.n_behaviors, size=length), ts)
+
+
+def assert_forward_matches_reference(params, seq):
+    length = len(seq)
+    H = hidden_chain(params, seq, length)
+    assert H.shape == (length + 1, params.d)
+    assert np.array_equal(H, reference_chain(params, seq, length))
+    for k in range(length + 1):
+        positions, states = hidden_path(params, seq, k)[:2]
+        assert positions == list(range(k, 0, -params.n)) + [0]
+        assert len(states) == len(positions)
+        for p, h in zip(positions, states):
+            assert np.array_equal(h, H[p]), (k, p)
+
+
+@pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_forward_is_bit_identical_to_per_position_loop(kind, n):
+    # every length from 0 to 3n+2: k < n, k = n and k a multiple of n included
+    for length in range(3 * n + 3):
+        seed = 100 * n + length
+        if kind == "rlbl":
+            params = random_params(d=5, n=n, seed=seed)
+            seq = random_seq(params, length, seed=seed + 1)
+        else:
+            params = random_ta_params(d=5, n=n, n_bins=4, seed=seed)
+            seq = quarter_hour_seq(params, length, seed=seed + 1)
+        assert_forward_matches_reference(params, seq)
+
+
+# window gaps (n = 4) on a 4-bin hourly grid: 1 h and 4 h (boundaries, the
+# second the last one), 1.5 h (mid-bin), 16000 s (past the grid), 0 (equal
+# timestamps) and an event older than the one before it (clamps to 0)
+EDGE_TIMES = [0, 3600, 5400, 5400, 4000, 20000, 21600, 21600, 23400, 36000]
+
+
+def test_ta_forward_on_boundary_mid_bin_past_grid_tied_and_unordered_gaps():
+    params = random_ta_params(n=4, n_bins=4, seed=31)
+    rng = np.random.default_rng(32)
+    m = len(EDGE_TIMES)
+    seq = make_seq(rng.integers(params.n_items, size=m),
+                   rng.integers(params.n_behaviors, size=m), EDGE_TIMES)
+    assert_forward_matches_reference(params, seq)
+
+
+def test_ta_window_stack_rows_are_interp_matrix():
+    params = random_ta_params(n=4, n_bins=4, seed=33)
+    seq = make_seq(range(len(EDGE_TIMES)), timestamps=EDGE_TIMES)
+    mats = params.grid.boundary_mats
+    seen = set()
+    for i in range(params.n):
+        layers = np.arange(i + 1, len(seq) + 1)
+        stack, (lo, hi, w_lo, w_hi) = params.windows(seq, layers, i)
+        assert stack.shape == (len(layers), params.d, params.d)
+        for r, p in enumerate(layers):
+            t_d = max(EDGE_TIMES[p - 1] - EDGE_TIMES[p - 1 - i], 0)
+            seen.add(t_d)
+            assert np.array_equal(stack[r], interp_matrix(params.grid, t_d))
+            assert np.array_equal(stack[r], reference_window(params, seq, p, i))
+            # one matrix on a boundary (the last one covers the rest)
+            assert (lo[r] == hi[r]) == (t_d % 3600 == 0 or t_d >= 4 * 3600)
+            if lo[r] == hi[r]:
+                assert (w_lo[r], w_hi[r]) == (1.0, 0.0)
+                assert np.array_equal(stack[r], mats[lo[r]])
+            else:
+                assert hi[r] == lo[r] + 1 and w_lo[r] + w_hi[r] == pytest.approx(1.0)
+    assert {0, 3600, 5400, 14400, 16000} <= seen
+
+
+def test_rlbl_window_stack_is_c_i_with_unit_weight():
+    params = random_params(n=3, seed=34)
+    seq = random_seq(params, 7, seed=35)
+    layers = np.arange(3, 8)
+    stack, (lo, hi, w_lo, w_hi) = params.windows(seq, layers, 2)
+    assert stack.shape == (5, params.d, params.d)
+    assert all(np.array_equal(a, params.C[2]) for a in stack)
+    assert list(lo) == list(hi) == [2] * 5
+    assert list(w_lo) == [1.0] * 5 and list(w_hi) == [0.0] * 5

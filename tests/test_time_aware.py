@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlbl.model import hidden_at, hidden_chain
 from rlbl.time_aware import (
-    TaRlblParams,
     TimeBinGrid,
     TimeError,
     init_ta_rlbl_params,
     interp_matrix,
 )
-from tests.test_model import make_seq
+from tests.test_model import make_seq, random_ta_params
 
 HOUR = 3600.0
 
@@ -18,20 +19,6 @@ def random_grid(n_bins=4, d=3, bin_width=HOUR, seed=0):
     rng = np.random.default_rng(seed)
     return TimeBinGrid(bin_width=bin_width,
                        boundary_mats=rng.normal(size=(n_bins + 1, d, d)))
-
-
-def random_ta_params(n_users=3, n_items=10, n_behaviors=3, d=4, n=3, n_bins=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return TaRlblParams(
-        user_vecs=rng.normal(size=(n_users, d)),
-        item_vecs=rng.normal(size=(n_items, d)),
-        W=rng.normal(size=(d, d)) * 0.4,
-        grid=TimeBinGrid(bin_width=HOUR,
-                         boundary_mats=rng.normal(size=(n_bins + 1, d, d)) * 0.4),
-        M=rng.normal(size=(n_behaviors, d, d)) * 0.4,
-        u0=rng.normal(size=d),
-        n=n,
-    )
 
 
 def test_worked_interpolation_example():
@@ -48,6 +35,15 @@ def test_boundary_returns_boundary_matrix_exactly():
         assert np.array_equal(interp_matrix(grid, j * HOUR), grid.boundary_mats[j])
 
 
+def test_boundary_is_the_matrix_itself_not_a_weight_one_blend():
+    # 1 * inf + 0 * inf would be NaN
+    grid = random_grid(n_bins=3)
+    grid.boundary_mats[1, 0, 0] = np.inf
+    grid.boundary_mats[3, 1, 1] = -np.inf
+    assert np.array_equal(interp_matrix(grid, HOUR), grid.boundary_mats[1])
+    assert np.array_equal(interp_matrix(grid, 10 * HOUR), grid.boundary_mats[3])
+
+
 def test_midpoint_is_elementwise_mean():
     grid = random_grid(seed=1)
     got = interp_matrix(grid, 2.5 * HOUR)
@@ -62,6 +58,8 @@ def test_clamps_beyond_grid():
 def test_negative_difference_rejected():
     with pytest.raises(TimeError):
         interp_matrix(random_grid(), -1.0)
+    with pytest.raises(TimeError):
+        interp_matrix(random_grid(), np.nan)
 
 
 def test_continuity_at_boundaries():
@@ -183,3 +181,51 @@ def test_init_ta_params_seeded():
     b = init_ta_rlbl_params(3, 5, 2, d=4, n=2, seed=1)
     assert np.array_equal(a.grid.boundary_mats, b.grid.boundary_mats)
     assert a.n == 2 and a.grid.n_bins == 24
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn window widths, sizes, lengths and timestamps
+
+
+@st.composite
+def ta_case(draw):
+    """(TA-RLBL params, sequence) with gaps that hit bin boundaries, ties and
+    gaps past the grid; the drawn seed fills the tensors."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 6))
+    length = draw(st.integers(0, 20))
+    bin_width = draw(st.sampled_from([1.0, 60.0, 900.0, HOUR]))
+    gaps = draw(st.lists(st.integers(0, 8).map(lambda q: q * int(bin_width) // 2)
+                         | st.integers(0, 10 * int(bin_width)), min_size=length, max_size=length))
+    start = draw(st.integers(-10**9, 10**9))
+    params = random_ta_params(d=d, n=n, n_bins=draw(st.integers(1, 6)),
+                              seed=draw(st.integers(0, 2**32 - 1)))
+    params.grid.bin_width = bin_width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seq = make_seq(rng.integers(params.n_items, size=length),
+                   rng.integers(params.n_behaviors, size=length),
+                   start + np.cumsum(np.array(gaps, dtype=np.int64)))
+    return params, seq
+
+
+@settings(deadline=None, max_examples=200)
+@given(ta_case(), st.integers(-10**12, 10**12))
+def test_time_shift_leaves_ta_hidden_chain_bit_identical(case, shift):
+    params, seq = case
+    shifted = make_seq(seq.items, seq.behaviors, seq.timestamps + shift)
+    assert np.array_equal(hidden_chain(params, seq, len(seq)),
+                          hidden_chain(params, shifted, len(seq)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ta_case())
+def test_constant_grid_ta_equals_rlbl(case):
+    from rlbl.model import RlblParams
+
+    params, seq = case
+    A = params.grid.boundary_mats[0].copy()
+    params.grid.boundary_mats[:] = A
+    rl = RlblParams(params.user_vecs, params.item_vecs, params.W,
+                    np.stack([A] * params.n), params.M, params.u0)
+    assert np.allclose(hidden_chain(params, seq, len(seq)),
+                       hidden_chain(rl, seq, len(seq)), rtol=1e-9, atol=1e-12)

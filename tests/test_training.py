@@ -341,6 +341,11 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(negatives_per_positive=0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=-1)
+    with pytest.raises(ValueError):
+        TrainConfig(bptt_truncation=-1)
+    TrainConfig(epochs=0, bptt_truncation=0)
 
 
 def test_bundle_scale():
