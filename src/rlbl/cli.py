@@ -8,6 +8,8 @@ filled in) is written next to the outputs. Exit codes: 0 success,
 
 import argparse
 import copy
+import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -61,10 +63,14 @@ DEFAULT_CONFIG = {
 
 MODEL_KINDS = ("rlbl", "ta-rlbl", "pop", "markov", "linear-rnn")
 
+# the keys of dataset.synth, with SynthSpec's defaults as their types
+SYNTH_KEYS = {f.name: f.default for f in dataclasses.fields(ingestion.SynthSpec)}
 # a value of the right type for each key whose default does not show it:
-# the null defaults, and timestamp_unit, whose int default may be a fraction
+# the null defaults, timestamp_unit, whose int default may be a fraction,
+# and seq_len_range, a tuple default given as a YAML list
 TYPE_OF = {"dataset.path": "", "dataset.behavior_map": {}, "dataset.target_behaviors": [0],
-           "dataset.timestamp_unit": 1.0, "train.bptt_truncation": 0, "out": ""}
+           "dataset.timestamp_unit": 1.0, "train.bptt_truncation": 0, "out": "",
+           "dataset.synth.seq_len_range": [0], "dataset.synth.cycle_len": 0}
 NULLABLE = ("train.clip_norm", "train.patience")  # null switches these off
 
 
@@ -94,6 +100,8 @@ def _merge(defaults, override, path=""):
             if like is not None and not nulled and not _fits(value, like):
                 raise ConfigError(f"config key {path + key!r} must be of type "
                                   f"{type(like).__name__}: {value!r}")
+            if path + key == "dataset.synth":
+                _merge(SYNTH_KEYS, value, "dataset.synth.")  # keys and value types only
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -116,11 +124,14 @@ def load_config(path, seed_override=None, out_override=None):
         cfg["out"] = str(Path(root) / Path(path).stem)
     if cfg["model"]["kind"] not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {cfg['model']['kind']!r}")
-    if min(cfg["model"][k] for k in ("d", "n", "n_bins")) < 1 or not cfg["model"]["bin_width"] > 0:
-        raise ConfigError(f"model d, n and n_bins must be >= 1 and bin_width > 0: {cfg['model']}")
+    m = cfg["model"]
+    if min(m["d"], m["n"], m["n_bins"]) < 1 or not 0 < m["bin_width"] < math.inf:
+        raise ConfigError(f"model d, n and n_bins must be >= 1 and bin_width finite and > 0: {m}")
     if (cfg["train"]["patience"] or 0) < 0:
         raise ConfigError(f"train.patience must be >= 0 or null: {cfg['train']['patience']}")
     ds = cfg["dataset"]
+    if not 0 < ds["timestamp_unit"] < math.inf:
+        raise ConfigError(f"dataset.timestamp_unit must be finite and > 0: {ds['timestamp_unit']}")
     if ds["format"] not in ("movielens", "generic", "synthetic"):
         raise ConfigError(f"unknown dataset format {ds['format']!r}")
     if ds["format"] != "synthetic" and not ds["path"]:
@@ -147,9 +158,12 @@ def load_events(cfg):
             has_header=ds["has_header"], timestamp_unit=ds["timestamp_unit"],
         )
         return ingestion.parse_generic(ds["path"], spec, ds["behavior_map"])
-    synth = dict(ds["synth"])
-    synth.setdefault("rng_seed", cfg["seed"])
-    return ingestion.generate_synthetic(ingestion.synth_spec_from_dict(synth))
+    return ingestion.generate_synthetic(synth_spec(cfg))
+
+
+def synth_spec(cfg):
+    """The config's SynthSpec; its rng_seed defaults to the run seed."""
+    return ingestion.synth_spec_from_dict({"rng_seed": cfg["seed"], **cfg["dataset"]["synth"]})
 
 
 def load_corpus(cfg):
@@ -216,11 +230,12 @@ def _write_resolved(cfg, out_dir):
 
 
 def cmd_train(cfg):
-    tcfg = train_config(cfg)  # range errors exit before any work or output
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # config, data and model errors exit before any output
+    tcfg, vcfg = train_config(cfg), eval_config(cfg, segment="valid")
     corpus = load_corpus(cfg)
     params = init_model(cfg, corpus)
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolved(cfg, out_dir)
 
     if isinstance(params, (baselines.PopModel, baselines.MarkovModel)):
@@ -228,7 +243,6 @@ def cmd_train(cfg):
         print(f"fitted {cfg['model']['kind']} baseline -> {out_dir / 'model.snap'}")
         return EXIT_OK
 
-    vcfg = eval_config(cfg, segment="valid")
     rng = np.random.default_rng(tcfg.rng_seed)
     patience = cfg["train"]["patience"]
     best_map, best_params, since_best = -1.0, copy.deepcopy(params), 0
@@ -348,9 +362,7 @@ def cmd_gradcheck(seed=0):
 
 
 def cmd_gen_synth(cfg, out_path):
-    synth = dict(cfg["dataset"]["synth"])
-    synth.setdefault("rng_seed", cfg["seed"])
-    spec = ingestion.synth_spec_from_dict(synth)
+    spec = synth_spec(cfg)
     events = ingestion.generate_synthetic(spec)
     ingestion.write_generic(events, out_path)
     users = len({e.user for e in events})

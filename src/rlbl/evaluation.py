@@ -32,6 +32,9 @@ class EvalConfig:
         if not cuts or any(c <= 0 for c in cuts) or list(cuts) != sorted(cuts):
             raise ValueError(f"cutoffs must be positive and sorted: {self.cutoffs}")
         self.cutoffs = cuts
+        t = tuple(self.bucket_thresholds)
+        if len(t) != 2 or not t[0] < t[1]:
+            raise ValueError(f"bucket thresholds must be two, strictly increasing: {t}")
         if self.target_behaviors is not None:
             self.target_behaviors = frozenset(int(b) for b in self.target_behaviors)
 

@@ -20,8 +20,8 @@ class IoError(OSError):
 
 
 class FormatError(ValueError):
-    """Raised when a file is too malformed to trust (>1% bad lines, or a
-    strict-mode violation)."""
+    """Raised when a file is too malformed to trust (>1% bad lines, or an
+    unknown behavior label)."""
 
 
 @dataclass
@@ -42,10 +42,10 @@ class ParseReport:
     n_lines: int = 0
     n_records: int = 0
     malformed: list = field(default_factory=list)   # (line number, reason)
-    n_skipped_behaviors: int = 0
 
 
 MALFORMED_FRACTION_LIMIT = 0.01
+INT64_MAX = 2 ** 63 - 1  # build_corpus stores timestamps and behaviors as int64
 
 
 def _finish(records, report, path):
@@ -62,9 +62,9 @@ def _finish(records, report, path):
 def parse_movielens(path, report=None):
     """Parse a `user::item::rating::timestamp` ratings file into events.
 
-    The rating value 1..5 maps to behavior id 0..4. Malformed lines are
-    collected in the report with their line numbers; more than 1% of them
-    raises FormatError.
+    The rating value 1..5 maps to behavior id 0..4. Malformed lines
+    (including timestamps outside [0, 2^63)) are collected in the report
+    with their line numbers; more than 1% of them raises FormatError.
     """
     if report is None:
         report = ParseReport()
@@ -90,19 +90,19 @@ def parse_movielens(path, report=None):
             except ValueError:
                 report.malformed.append((lineno, "non-integer rating or timestamp"))
                 continue
-            if not 1 <= rating <= 5 or ts < 0:
+            if not 1 <= rating <= 5 or not 0 <= ts <= INT64_MAX:
                 report.malformed.append((lineno, f"rating {rating} or timestamp {ts} out of range"))
                 continue
             records.append(Event(user=user, item=item, behavior=rating - 1, timestamp=ts))
     return _finish(records, report, path)
 
 
-def parse_generic(path, column_spec=None, behavior_map=None, strict=True, report=None):
+def parse_generic(path, column_spec=None, behavior_map=None, report=None):
     """Parse a delimited event log, mapping behavior labels through behavior_map.
 
-    behavior_map=None accepts integer behavior ids verbatim. In strict mode
-    an unknown behavior label raises FormatError; lenient mode skips the
-    row and counts it.
+    behavior_map=None accepts integer behavior ids verbatim; with a map, an
+    unknown behavior label raises FormatError. A scaled timestamp outside
+    [0, 2^63) or a negative behavior makes a line malformed.
     """
     spec = column_spec or ColumnSpec()
     if report is None:
@@ -128,10 +128,7 @@ def parse_generic(path, column_spec=None, behavior_map=None, strict=True, report
             label = parts[spec.behavior]
             if behavior_map is not None:
                 if label not in behavior_map:
-                    if strict:
-                        raise FormatError(f"{path}:{lineno}: unknown behavior label {label!r}")
-                    report.n_skipped_behaviors += 1
-                    continue
+                    raise FormatError(f"{path}:{lineno}: unknown behavior label {label!r}")
                 behavior = int(behavior_map[label])
             else:
                 try:
@@ -141,11 +138,11 @@ def parse_generic(path, column_spec=None, behavior_map=None, strict=True, report
                     continue
             try:
                 ts = int(parts[spec.timestamp]) * spec.timestamp_unit
-            except ValueError:
+            except (ValueError, OverflowError):  # overflow: a huge int times a float unit
                 report.malformed.append((lineno, "non-integer timestamp"))
                 continue
-            if ts < 0 or behavior < 0:
-                report.malformed.append((lineno, "negative timestamp or behavior"))
+            if not 0 <= ts <= INT64_MAX or not 0 <= behavior <= INT64_MAX:
+                report.malformed.append((lineno, "timestamp or behavior outside [0, 2^63)"))
                 continue
             records.append(Event(user=parts[spec.user], item=parts[spec.item],
                                  behavior=behavior, timestamp=ts))
@@ -168,11 +165,12 @@ class SynthSpec:
     """Configuration of the synthetic corpus generator.
 
     With probability markov_strength the next item follows a planted
-    permutation; otherwise it is uniform. One designated behavior "flips"
+    permutation; otherwise it is uniform. The highest behavior id "flips"
     the transition: after an event with that behavior the alternative
     permutation applies with probability behavior_flip_prob (mimicking a
     behavior that reverses the preference signal). cycle_len=2 plants a
-    period-2 item cycle instead of a random permutation.
+    period-2 item cycle instead of a random permutation. Consecutive events
+    are an exponential gap of mean 3600 s apart (at least 1 s).
     """
 
     n_users: int = 100
@@ -182,13 +180,14 @@ class SynthSpec:
     rng_seed: int = 0
     markov_strength: float = 0.0
     behavior_flip_prob: float = 0.0
-    flip_behavior: int | None = None  # default: highest behavior id
     cycle_len: int | None = None
-    gap_mean: float = 3600.0
 
     def __post_init__(self):
         if min(self.n_users, self.n_items, self.n_behaviors) < 1:
             raise ValueError("counts must be >= 1")
+        if len(self.seq_len_range) != 2 or not 0 <= self.seq_len_range[0] <= self.seq_len_range[1]:
+            raise ValueError(f"seq_len_range must be (lo, hi) with 0 <= lo <= hi: "
+                             f"{self.seq_len_range}")
         for p in (self.markov_strength, self.behavior_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {p}")
@@ -209,9 +208,7 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.rng_seed)
     base_perm = _planted_permutation(spec.n_items, spec.cycle_len, rng)
     flip_perm = rng.permutation(spec.n_items)
-    flip_behavior = spec.flip_behavior
-    if flip_behavior is None:
-        flip_behavior = spec.n_behaviors - 1
+    flip_behavior = spec.n_behaviors - 1
 
     events = []
     lo, hi = spec.seq_len_range
@@ -222,7 +219,7 @@ def generate_synthetic(spec):
         for j in range(m):
             behavior = int(rng.integers(spec.n_behaviors))
             events.append(Event(user=f"u{u}", item=f"i{item}", behavior=behavior, timestamp=t))
-            t += max(int(rng.exponential(spec.gap_mean)), 1)
+            t += max(int(rng.exponential(3600.0)), 1)
             perm = base_perm
             if behavior == flip_behavior and rng.random() < spec.behavior_flip_prob:
                 perm = flip_perm

@@ -139,15 +139,17 @@ def _rebuild_model(kind, meta, arrs):
 
 
 def _rebuild_corpus(meta, arrs):
+    """The bound corpus; each user's sequence holds views into the arrays
+    load_snapshot copied out of the file (a Corpus is immutable)."""
     offsets = arrs["corpus_offsets"]
     sequences = []
     for u in range(meta["n_users"]):
         lo, hi = offsets[u], offsets[u + 1]
         sequences.append(UserSequence(
             u,
-            arrs["corpus_items"][lo:hi].copy(),
-            arrs["corpus_behaviors"][lo:hi].copy(),
-            arrs["corpus_timestamps"][lo:hi].copy(),
+            arrs["corpus_items"][lo:hi],
+            arrs["corpus_behaviors"][lo:hi],
+            arrs["corpus_timestamps"][lo:hi],
         ))
     return Corpus(
         sequences=sequences,
@@ -211,6 +213,10 @@ def _check_values(path, kind, meta, arrs):
         for name, n in (("corpus_items", c["n_items"]), ("corpus_behaviors", c["n_behaviors"])):
             if np.any((arrs[name] < 0) | (arrs[name] >= n)):
                 raise SnapshotError(f"{path}: {name} holds ids outside [0, {n})")
+        train_end, valid_end = arrs["corpus_train_end"], arrs["corpus_valid_end"]
+        if np.any((train_end < 0) | (train_end > valid_end) | (valid_end > np.diff(off))):
+            raise SnapshotError(f"{path}: corpus split cuts break 0 <= train_end <= "
+                                f"valid_end <= sequence length")
 
 
 def load_snapshot(path):

@@ -9,10 +9,12 @@ from the same hidden state h_k. Its objective is the sum of the pair terms
 where Theta collects the tensors a pair touches (u_u, r_v, r_v', the target
 behavior matrix, W, the full transition stack and u0). One function,
 :func:`group_gradients`, gives the pair losses and the gradient of the sum:
-closed-form at the output layer, then one BPTT sweep down the chain
-h_k -> h_{k-n} -> ... -> u0. The SGD step uses it, and the central
-finite-difference oracle (:func:`gradient_check`) checks it against
-:func:`pair_losses`, the loss the step reports.
+closed-form at the output layer (:func:`output_gradients`, the one place
+that scores the pairs and sums their lambda norms), then one BPTT sweep
+down the chain h_k -> h_{k-n} -> ... -> u0. The SGD step uses it, and the
+central finite-difference oracle (:func:`gradient_check`) differences the
+pair losses that :func:`output_gradients` returns, the loss the step
+reports.
 
 Both model kinds share this module through their window-matrix provider
 (see rlbl.model): the "transition stack" is ``params.trans``, and each
@@ -58,17 +60,18 @@ class TrainConfig:
     clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0 (use epochs=0 to skip training)")
-        if self.lr_decay < 0:
-            raise ValueError("lr_decay must be >= 0")
+        # written so that NaN fails every range check
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0 (use epochs=0 to skip training)")
+        if not 0 <= self.lr_decay < math.inf:
+            raise ValueError("lr_decay must be finite and >= 0")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
         if self.epochs < 0 or (self.bptt_truncation or 0) < 0:
             raise ValueError("epochs and bptt_truncation must be >= 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
+        if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError("clip_norm must be > 0 or None")
 
 
@@ -156,60 +159,34 @@ def sample_negative(n_items, pos_item, rng):
     return v + 1 if v >= pos_item else v
 
 
-def _pair_scores(params, h, insts):
-    """(y_pos, y_neg) of each pair at context state h; the pairs share user
-    and target behavior, so (h + u_u) M_b is computed once."""
-    proj = (h + params.user_vecs[insts[0].user_id]) @ params.M[insts[0].behavior]
-    return [(float(proj @ params.item_vecs[i.pos_item]),
-             float(proj @ params.item_vecs[i.neg_item])) for i in insts]
-
-
-def regularization(params, insts, cfg, shared_scale=1.0):
-    """(lambda/2) * squared norm of the tensors each pair regularizes.
-
-    Returns one term per pair. ``shared_scale`` discounts the densely-shared
-    tensors (see sgd_epoch), whose norms are summed once per group; each
-    pair's user/item rows always count fully.
-    """
-    lam = cfg.lam
-    if lam == 0.0:
-        return [0.0] * len(insts)
-    user_sq = np.sum(params.user_vecs[insts[0].user_id] ** 2)
-    shared = shared_scale * (
-        np.sum(params.M[insts[0].behavior] ** 2)
-        + np.sum(params.W ** 2)
-        + np.sum(params.trans ** 2)
-        + np.sum(params.u0 ** 2)
-    )
-    return [0.5 * lam * float(user_sq
-                              + np.sum(params.item_vecs[i.pos_item] ** 2)
-                              + np.sum(params.item_vecs[i.neg_item] ** 2)
-                              + shared) for i in insts]
-
-
-def pair_losses(params, h, insts, cfg, shared_scale=1.0):
-    """Objective of each pair of a group at context state h."""
-    regs = regularization(params, insts, cfg, shared_scale)
-    return [bpr_pair_loss(y_pos, y_neg, reg)
-            for (y_pos, y_neg), reg in zip(_pair_scores(params, h, insts), regs)]
-
-
 def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
-    """Closed-form gradients of a group at the output layer.
+    """Pair losses and closed-form gradients of a group at the output layer.
 
-    Returns (bundle, dJ/dh_k). Each pair adds its u_u, r_v, r_v' and M_b
-    gradients, with their lambda terms, to its own rows of the one bundle;
-    dJ/dh_k is the sum over the pairs and carries no lambda term.
+    Returns (pair losses, bundle, dJ/dh_k). The pairs share user, context
+    state h_k, target behavior and positive item, so (h_k + u_u) M_b, y_pos
+    and the lambda norms are computed once. A pair's loss is its BPR term
+    plus (lambda/2) times the squared norms it regularizes: its u_u, r_v and
+    r_v' fully, and the densely-shared tensors discounted by
+    ``shared_scale`` (see sgd_epoch). Each pair adds its u_u, r_v, r_v' and
+    M_b gradients, with their lambda terms, to its own rows of the one
+    bundle; dJ/dh_k is the sum over the pairs and carries no lambda term.
     """
-    uid, b = insts[0].user_id, insts[0].behavior
-    u = params.user_vecs[uid]
-    Mb = params.M[b]
+    uid, b, v = insts[0].user_id, insts[0].behavior, insts[0].pos_item
+    u, Mb, r_pos = params.user_vecs[uid], params.M[b], params.item_vecs[v]
     s = h_k + u
+    proj = s @ Mb
+    y_pos = float(proj @ r_pos)
+    if lam:
+        pos_sq = np.sum(u ** 2) + np.sum(r_pos ** 2)
+        shared = shared_scale * (np.sum(Mb ** 2) + np.sum(params.W ** 2)
+                                 + np.sum(params.trans ** 2) + np.sum(params.u0 ** 2))
     bundle = GradientBundle.zeros_like(params)
-    dJ_dh = None
-    for inst, (y_pos, y_neg) in zip(insts, _pair_scores(params, h_k, insts)):
-        r_pos = params.item_vecs[inst.pos_item]
+    losses, dJ_dh = [], None
+    for inst in insts:
         r_neg = params.item_vecs[inst.neg_item]
+        y_neg = float(proj @ r_neg)
+        reg = 0.5 * lam * float(pos_sq + np.sum(r_neg ** 2) + shared) if lam else 0.0
+        losses.append(bpr_pair_loss(y_pos, y_neg, reg))
         sig = float(expit(-(y_pos - y_neg)))  # l/(1+l) with l = exp(-(y_pos - y_neg))
         diff = r_neg - r_pos
         d_s = sig * (Mb @ diff)        # gradient through s = h + u_u
@@ -219,11 +196,11 @@ def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
             g_pos = g_pos + lam * r_pos
             g_neg = g_neg + lam * r_neg
         _add_row(bundle.user_rows, uid, d_s + lam * u)
-        _add_row(bundle.item_rows, inst.pos_item, g_pos)
+        _add_row(bundle.item_rows, v, g_pos)
         _add_row(bundle.item_rows, inst.neg_item, g_neg)
         bundle.M[b] += sig * np.outer(s, diff) + shared_scale * lam * Mb
         dJ_dh = d_s if dJ_dh is None else dJ_dh + d_s
-    return bundle, dJ_dh
+    return losses, bundle, dJ_dh
 
 
 def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
@@ -260,20 +237,18 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
 
 def group_gradients(params, seq, insts, cfg, shared_scale=1.0):
     """(per-pair losses, unclipped gradient bundle of their sum) for BPR pairs
-    that share user, context position and target behavior: one forward, the
-    output layer of each pair, one BPTT sweep of the summed dJ/dh_k, and the
-    W, transition-stack and u0 lambda terms once per pair. A non-finite loss
+    that share user, context position and target: one forward, the output
+    layer of the group, one BPTT sweep of the summed dJ/dh_k, and the W,
+    transition-stack and u0 lambda terms once per pair. A non-finite loss
     raises NumericError."""
     k = insts[0].position
     path = hidden_path(params, seq, k)
-    h = path[1][0]
-    losses = pair_losses(params, h, insts, cfg, shared_scale)
+    losses, bundle, dJ_dh = output_gradients(params, path[1][0], insts, lam=cfg.lam,
+                                             shared_scale=shared_scale)
     for loss in losses:
         if not math.isfinite(loss):
             raise NumericError(
                 f"non-finite loss {loss} at user {insts[0].user_id} position {k}")
-    bundle, dJ_dh = output_gradients(params, h, insts, lam=cfg.lam,
-                                     shared_scale=shared_scale)
     bptt_backward(params, seq, path, dJ_dh, bundle, truncation=cfg.bptt_truncation)
     lam = cfg.lam * shared_scale * len(insts)
     if lam:
@@ -411,8 +386,8 @@ def gradient_check(params, seq, k, group, step=1e-5, tolerance=1e-4,
     """Compare analytic gradients against central finite differences.
 
     ``group`` is one TrainingInstance or a sequence of pairs that share
-    user, context position k and target behavior; the objective is the sum
-    of their pair losses, and the analytic side is :func:`group_gradients`,
+    user, context position k and target; the objective is the sum of their
+    pair losses, and the analytic side is :func:`group_gradients`,
     the function the SGD step uses. Perturbs >= min_coords coordinates per
     tensor (all coordinates of the touched user/item rows, a subsample of
     large dense tensors) and reports the max relative error per tensor.
@@ -422,9 +397,9 @@ def gradient_check(params, seq, k, group, step=1e-5, tolerance=1e-4,
     if step <= 0:
         raise ValueError("step must be > 0")
     insts = [group] if isinstance(group, TrainingInstance) else list(group)
-    if {(i.user_id, i.position, i.behavior) for i in insts} != {
-            (insts[0].user_id, k, insts[0].behavior)}:
-        raise ValueError(f"the pairs must share user, behavior and position {k}")
+    if {(i.user_id, i.position, i.behavior, i.pos_item) for i in insts} != {
+            (insts[0].user_id, k, insts[0].behavior, insts[0].pos_item)}:
+        raise ValueError(f"the pairs must share user, target and position {k}")
     if cfg is None:
         cfg = TrainConfig()
     if rng is None:
@@ -434,7 +409,8 @@ def gradient_check(params, seq, k, group, step=1e-5, tolerance=1e-4,
         bundle = group_gradients(params, seq, insts, cfg)[1]
 
     def objective():
-        return math.fsum(pair_losses(params, hidden_path(params, seq, k)[1][0], insts, cfg))
+        h = hidden_path(params, seq, k)[1][0]
+        return math.fsum(output_gradients(params, h, insts, lam=cfg.lam)[0])
 
     errors = {}
     for name in TENSOR_NAMES:

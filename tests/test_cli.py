@@ -1,7 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 import yaml
 
+from rlbl import cli
 from rlbl.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -265,3 +269,83 @@ def test_scalar_types_that_fit_are_accepted(tmp_path, section, values):
     cfg.setdefault(section, {}).update(values)
     loaded = load_config(write_cfg(tmp_path, cfg))
     assert {k: loaded[section][k] for k in values} == values
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("key, value", [
+    # dataset.synth values are checked against SynthSpec's field types
+    ("dataset.synth.n_users", "5"),
+    ("dataset.synth.n_users", 2.5),
+    ("dataset.synth.seq_len_range", 5),
+    ("dataset.synth.markov_strength", "x"),
+    # ... and against its ranges
+    ("dataset.synth.n_users", 0),
+    ("dataset.synth.seq_len_range", [12]),
+    # settings that no longer exist are unknown keys
+    ("dataset.synth.flip_behavior", 1),
+    ("dataset.synth.gap_mean", 60.0),
+    # NaN fails every range check
+    ("train.lam", NAN),
+    ("train.learning_rate", NAN),
+    ("train.lr_decay", NAN),
+    ("train.clip_norm", NAN),
+    ("model.bin_width", INF),
+    ("dataset.timestamp_unit", INF),
+    ("eval.buckets", [200, 50]),
+    ("split", [0.9, 0.2]),
+])
+def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, key, value):
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    if key == "model.bin_width":
+        cfg["model"]["kind"] = "ta-rlbl"  # which reads bin_width
+    if key == "dataset.timestamp_unit":  # which the generic parser scales by
+        events = tmp_path / "events.tsv"
+        events.write_text("".join(f"u{t % 2}\ti{t % 5}\t0\t{t}\n" for t in range(24)))
+        cfg["dataset"] = {"format": "generic", "path": str(events)}
+    *sections, name = key.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def _nan_model_snapshot(tmp_path):
+    from rlbl.ingestion import SynthSpec, synth_corpus
+    from rlbl.model import init_rlbl_params
+    from rlbl.snapshot import save_snapshot
+
+    c = synth_corpus(SynthSpec(n_users=3, n_items=8, seq_len_range=(6, 6)))
+    p = init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=3, n=2)
+    p.W[0, 0] = np.nan
+    save_snapshot(tmp_path / "nan.snap", p, corpus=c)
+    return ["predict", "--snapshot", str(tmp_path / "nan.snap"), "--user", c.user_ids[0],
+            "--behavior", "0"]
+
+
+def _failed_gradcheck(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_gradcheck", functools.partial(run_gradcheck, corrupt=True))
+    return ["gradcheck"]
+
+
+# one input per documented exit code: (code, argv builder)
+EXIT_MATRIX = {
+    "ok": (EXIT_OK, lambda tmp_path, _: ["train", "--config", str(cfg_with_out(tmp_path))]),
+    "config": (EXIT_CONFIG, lambda tmp_path, _: [
+        "train", "--config", str(cfg_with_out(tmp_path, extra={"trian": {}}))]),
+    "io": (EXIT_IO, lambda tmp_path, _: ["predict", "--snapshot", str(tmp_path / "missing.snap"),
+                                         "--user", "u0", "--behavior", "0"]),
+    "numeric": (EXIT_NUMERIC, lambda tmp_path, _: _nan_model_snapshot(tmp_path)),
+    "check": (EXIT_CHECK, _failed_gradcheck),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_MATRIX))
+def test_exit_code_matrix(tmp_path, monkeypatch, capsys, case):
+    code, argv = EXIT_MATRIX[case]
+    with np.errstate(invalid="ignore"):
+        assert main(argv(tmp_path, monkeypatch)) == code

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rlbl.data import Event
+from rlbl.data import EmptyCorpus, Event, build_corpus
 from rlbl.ingestion import (
     ColumnSpec,
     FormatError,
@@ -85,15 +87,11 @@ def test_generic_custom_columns_and_header(tmp_path):
     assert events == [Event("u3", "i9", 1, 50)]
 
 
-def test_generic_behavior_map_strict_vs_lenient(tmp_path):
+def test_generic_unknown_behavior_label_is_format_error(tmp_path):
     f = tmp_path / "log.tsv"
     f.write_text("u\ti\tclick\t1\nu\ti\tmystery\t2\n")
-    bmap = {"click": 0, "buy": 1}
-    with pytest.raises(FormatError):
-        parse_generic(f, behavior_map=bmap, strict=True)
-    rep = ParseReport()
-    events = parse_generic(f, behavior_map=bmap, strict=False, report=rep)
-    assert len(events) == 1 and rep.n_skipped_behaviors == 1
+    with pytest.raises(FormatError, match="mystery"):
+        parse_generic(f, behavior_map={"click": 0, "buy": 1})
 
 
 def test_generic_timestamp_unit_scaling(tmp_path):
@@ -109,6 +107,66 @@ def test_generic_negative_values_malformed(tmp_path):
     rep = ParseReport()
     events = parse_generic(f, report=rep)
     assert len(events) == 200 and len(rep.malformed) == 1
+
+
+@pytest.mark.parametrize("fmt", ["generic", "movielens"])
+def test_timestamp_past_int64_is_malformed(tmp_path, fmt):
+    # a 20-digit timestamp used to reach build_corpus and raise OverflowError
+    sep, parse = ("\t", parse_generic) if fmt == "generic" else ("::", parse_movielens)
+    lines = [f"u{t % 3}{sep}i{t % 4}{sep}1{sep}{t}\n" for t in range(200)]
+    lines[50] = f"u0{sep}i0{sep}1{sep}{'9' * 20}\n"
+    lines[60] = f"u0{sep}i0{sep}1{sep}{2 ** 63}\n"
+    lines[70] = f"u0{sep}i0{sep}1{sep}{2 ** 63 - 1}\n"  # the largest int64 fits
+    f = tmp_path / "log.txt"
+    f.write_text("".join(lines))
+    rep = ParseReport()
+    events = parse(f, report=rep)
+    assert [line for line, _ in rep.malformed] == [51, 61]
+    assert build_corpus(events).n_users == 3
+
+
+def test_scaled_timestamp_past_int64_is_malformed(tmp_path):
+    f = tmp_path / "log.tsv"
+    f.write_text(f"u\ti\t0\t{2 ** 63 // 86400 + 1}\n" + "u\ti\t0\t1\n" * 200)
+    rep = ParseReport()
+    events = parse_generic(f, ColumnSpec(timestamp_unit=86400), report=rep)
+    assert len(events) == 200 and len(rep.malformed) == 1
+
+
+# any field text, and the numbers a log might carry, including past int64
+FIELD = st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str), st.text(max_size=6),
+                  st.sampled_from(["", "0", "-1", "9" * 20, "1e3", " 7 ", "3.5"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["generic", "movielens"]),
+       unit=st.sampled_from([1, 86400, 0.001]),
+       edits=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 4), FIELD), max_size=3),
+       junk=st.lists(st.tuples(st.integers(0, 199), st.text()), max_size=1))
+def test_parser_fuzz_raises_only_format_errors(tmp_path, fmt, unit, edits, junk):
+    # 200 good lines with up to 3 fields rewritten (field 4 appends one) and
+    # a line replaced by any text: the parse either raises FormatError or
+    # returns events that build_corpus accepts
+    sep = "\t" if fmt == "generic" else "::"
+    rows = [[f"u{t % 3}", f"i{t % 4}", "1", str(t)] for t in range(200)]
+    for at, col, value in edits:
+        rows[at][col:col + 1] = [value]
+    lines = [sep.join(row) for row in rows]
+    for at, text in junk:
+        lines[at] = text
+    f = tmp_path / "log.txt"
+    f.unlink(missing_ok=True)  # a new file: truncating one can wait on a flush
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
+    try:
+        events = (parse_generic(f, ColumnSpec(timestamp_unit=unit)) if fmt == "generic"
+                  else parse_movielens(f))
+    except FormatError:
+        return
+    try:
+        build_corpus(events)
+    except EmptyCorpus:
+        pass
 
 
 def test_write_generic_rejects_delimiter_in_field(tmp_path):
@@ -220,3 +278,5 @@ def test_spec_validation():
         SynthSpec(n_users=0)
     with pytest.raises(ValueError):
         SynthSpec(markov_strength=1.5)
+    with pytest.raises(ValueError):
+        SynthSpec(seq_len_range=(9, 5))

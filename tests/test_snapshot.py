@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rlbl.baselines import MarkovModel, PopModel
-from rlbl.data import Event, build_corpus
+from rlbl.data import EmptyCorpus, Event, build_corpus
 from rlbl.model import init_rlbl_params
 from rlbl.snapshot import MAGIC, SnapshotError, load_snapshot, save_snapshot
 from rlbl.time_aware import init_ta_rlbl_params
@@ -215,6 +217,11 @@ BAD_VALUES = {
     "offsets end past the events": ("corpus_offsets", 4, 41),
     "item id past n_items": ("corpus_items", 0, 99),
     "negative behavior id": ("corpus_behaviors", 0, -1),
+    # split cuts: each user has 10 events, train_end 7 and valid_end 8
+    "valid_end below zero": ("corpus_valid_end", 0, -3),
+    "negative train_end": ("corpus_train_end", 1, -1),
+    "train_end past valid_end": ("corpus_train_end", 2, 9),
+    "valid_end past the sequence": ("corpus_valid_end", 3, 11),
 }
 
 
@@ -253,3 +260,75 @@ def test_malformed_snapshot_is_snapshot_error(tmp_path, capsys, case):
     with pytest.raises(SnapshotError):
         load_snapshot(f)
     assert main(["predict", "--snapshot", str(f), "--user", "user-0", "--behavior", "0"]) == EXIT_IO
+
+
+def _model(kind, corpus, d, n, seed):
+    if kind == "ta-rlbl":
+        return init_ta_rlbl_params(corpus.n_users, corpus.n_items, corpus.n_behaviors,
+                                   d=d, n=n, seed=seed, bin_width=600.0, n_bins=3)
+    return init_rlbl_params(corpus.n_users, corpus.n_items, corpus.n_behaviors, d=d, n=n, seed=seed)
+
+
+SETTINGS = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["rlbl", "ta-rlbl"]), d=st.integers(1, 4), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       events=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 2),
+                                 st.integers(0, 10 ** 12)), min_size=3, max_size=40))
+def test_snapshot_roundtrip_property(tmp_path, kind, d, n, seed, events):
+    # what is saved loads back equal, and saving it again gives the same bytes
+    try:
+        c = build_corpus([Event(f"u{u}", f"i{i}", b, t) for u, i, b, t in events])
+    except EmptyCorpus:  # no user with 3 events
+        return
+    p = _model(kind, c, d, n, seed)
+    f, again = tmp_path / "a.snap", tmp_path / "b.snap"
+    for path in (f, again):
+        path.unlink(missing_ok=True)  # a new file: truncating one can wait on a flush
+    save_snapshot(f, p, corpus=c)
+    loaded_kind, loaded, lc = load_snapshot(f)
+    assert loaded_kind == kind
+    assert_params_equal(p, loaded, ("user_vecs", "item_vecs", "W", "trans", "M", "u0"))
+    assert (lc.n_users, lc.n_items, lc.n_behaviors, lc.user_ids, lc.item_ids) == (
+        c.n_users, c.n_items, c.n_behaviors, c.user_ids, c.item_ids)
+    assert np.array_equal(lc.train_end, c.train_end) and np.array_equal(lc.valid_end, c.valid_end)
+    for a, b in zip(lc.sequences, c.sequences, strict=True):
+        for name in ("items", "behaviors", "timestamps"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    save_snapshot(again, loaded, corpus=lc)
+    assert again.read_bytes() == f.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def snapshot_blobs(tmp_path_factory):
+    """A corpus-bound snapshot file's bytes for each model kind."""
+    c = small_corpus(seed=12)
+    blobs = {}
+    for kind in ("rlbl", "ta-rlbl"):
+        f = tmp_path_factory.mktemp("blobs") / f"{kind}.snap"
+        save_snapshot(f, _model(kind, c, 3, 2, 12), corpus=c)
+        blobs[kind] = f.read_bytes()
+    return blobs
+
+
+@settings(SETTINGS, max_examples=400)
+@given(kind=st.sampled_from(["rlbl", "ta-rlbl"]),
+       flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 7)), max_size=3),
+       cut=st.none() | st.floats(0, 1, exclude_max=True))
+def test_truncated_or_bit_flipped_snapshot_raises_only_snapshot_error(
+        tmp_path, snapshot_blobs, kind, flips, cut):
+    blob = bytearray(snapshot_blobs[kind])
+    for where, bit in flips:
+        blob[int(where * len(blob))] ^= 1 << bit
+    if cut is not None:
+        blob = blob[:int(cut * len(blob))]
+    f = tmp_path / "m.snap"
+    f.unlink(missing_ok=True)
+    f.write_bytes(bytes(blob))
+    try:
+        load_snapshot(f)
+    except SnapshotError:
+        pass

@@ -16,7 +16,7 @@ from rlbl.training import (
     bpr_pair_loss,
     gradient_check,
     group_gradients,
-    pair_losses,
+    output_gradients,
     sample_negative,
     sgd_epoch,
     train,
@@ -52,7 +52,8 @@ def an_instance(corpus, user=0, k=4):
 
 def pair_loss(params, seq, inst, cfg):
     """The objective of one pair, recomputing the forward chain."""
-    (loss,) = pair_losses(params, hidden_path(params, seq, inst.position)[1][0], [inst], cfg)
+    h = hidden_path(params, seq, inst.position)[1][0]
+    (loss,), _, _ = output_gradients(params, h, [inst], lam=cfg.lam)
     return loss
 
 
@@ -203,6 +204,11 @@ def test_gradient_check_rejects_a_mixed_group():
     group = [an_instance(c, user=0, k=5), an_instance(c, user=0, k=6)]
     with pytest.raises(ValueError):
         gradient_check(p, c.sequences[0], 5, group)
+    # the group's pairs are scored against one positive item
+    one = an_instance(c, user=0, k=5)
+    other = TrainingInstance(0, 5, one.behavior, one.neg_item, one.pos_item)
+    with pytest.raises(ValueError):
+        gradient_check(p, c.sequences[0], 5, [one, other])
 
 
 def test_truncation_full_depth_matches_untruncated():
@@ -345,6 +351,9 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(bptt_truncation=-1)
+    for key in ("lam", "learning_rate", "lr_decay", "clip_norm"):
+        with pytest.raises(ValueError):
+            TrainConfig(**{key: math.nan})
     TrainConfig(epochs=0, bptt_truncation=0)
 
 
