@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from rlbl import baselines, evaluation, ingestion, model, scoring, snapshot, time_aware, training
-from rlbl.data import EmptyCorpus, build_corpus
+from rlbl.data import MAX_BEHAVIORS, EmptyCorpus, build_corpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,6 +132,10 @@ def load_config(path, seed_override=None, out_override=None):
     ds = cfg["dataset"]
     if not 0 < ds["timestamp_unit"] < math.inf:
         raise ConfigError(f"dataset.timestamp_unit must be finite and > 0: {ds['timestamp_unit']}")
+    behavior_ids = (ds["behavior_map"] or {}).values()
+    if not all(type(b) is int and 0 <= b < MAX_BEHAVIORS for b in behavior_ids):
+        raise ConfigError(f"dataset.behavior_map values must be ints in "
+                          f"[0, {MAX_BEHAVIORS}): {ds['behavior_map']!r}")
     if ds["format"] not in ("movielens", "generic", "synthetic"):
         raise ConfigError(f"unknown dataset format {ds['format']!r}")
     if ds["format"] != "synthetic" and not ds["path"]:
@@ -218,12 +222,6 @@ def eval_config(cfg, segment="test"):
     )
 
 
-def _scorer(params):
-    if isinstance(params, (baselines.PopModel, baselines.MarkovModel)):
-        return params
-    return scoring.scorer_for(params)
-
-
 def _write_resolved(cfg, out_dir):
     with open(out_dir / "resolved_config.yaml", "w", encoding="utf-8") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
@@ -251,7 +249,7 @@ def cmd_train(cfg):
     for epoch in range(tcfg.epochs):
         rep = training.sgd_epoch(params, corpus, tcfg, rng, epoch=epoch)
         try:
-            valid_map = evaluation.evaluate(_scorer(params), corpus, vcfg).map
+            valid_map = evaluation.evaluate(scoring.scorer_for(params), corpus, vcfg).map
         except evaluation.EmptyEval:
             valid_map = float("nan")
         log_lines.append(f"{epoch}\t{rep.mean_loss:.6f}\t{rep.wall_time:.3f}\t"
@@ -275,12 +273,13 @@ def cmd_train(cfg):
 
 
 def cmd_evaluate(cfg, snapshot_path):
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # snapshot, data and evaluation errors exit before any output
     kind, params, bound_corpus = snapshot.load_snapshot(snapshot_path)
     corpus = bound_corpus if bound_corpus is not None else load_corpus(cfg)
     _check_dims(params, corpus)
-    report = evaluation.evaluate(_scorer(params), corpus, eval_config(cfg))
+    report = evaluation.evaluate(scoring.scorer_for(params), corpus, eval_config(cfg))
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.tsv").write_text(evaluation.report_table(report), encoding="utf-8")
     (out_dir / "report.txt").write_text(evaluation.report_summary(report), encoding="utf-8")
     print(evaluation.report_summary(report), end="")
@@ -312,8 +311,7 @@ def cmd_predict(snapshot_path, user, behavior, top_k):
     except ValueError:
         raise UserError(f"unknown user {user!r}") from None
     seq = corpus.sequences[uid]
-    scorer = _scorer(params)
-    ranked = scoring.top_k_items(scorer, seq, len(seq), int(behavior), top_k)
+    ranked = scoring.top_k_items(scoring.scorer_for(params), seq, len(seq), int(behavior), top_k)
     for item, value in ranked:
         print(f"{corpus.item_ids[item]}\t{value:.6f}")
     return EXIT_OK

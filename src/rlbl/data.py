@@ -1,10 +1,11 @@
 """Events, user sequences, vocabularies and chronological splits.
 
 An :class:`Event` is a raw (user, item, behavior, timestamp) record as it
-comes out of a parser or generator; :func:`build_corpus` groups events per
-user, sorts them chronologically (stable, so file order breaks timestamp
-ties), re-indexes user and item ids densely in first-seen order, and cuts
-each sequence into train / validation / test segments.
+comes out of a parser or generator. :func:`build_corpus` sorts events by
+user, then time, in one stable sort (file order breaks timestamp ties),
+re-indexes user and item ids densely in first-seen order, cuts each
+sequence into train / validation / test segments and builds the corpus
+with :meth:`Corpus.from_arrays`, the one constructor of user sequences.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,12 @@ class EmptyCorpus(ValueError):
 # A user needs at least this many events for a train/valid/test cut to be
 # meaningful (one item per segment at minimum).
 MIN_EVENTS_PER_USER = 3
+
+# Behavior ids lie in [0, MAX_BEHAVIORS). They name behaviors in configs
+# (behavior_map, target_behaviors), so they are bounded, not densified; the
+# models hold one d x d matrix per id up to the largest. The paper's
+# datasets have 4-9 behavior types.
+MAX_BEHAVIORS = 1024
 
 
 @dataclass(frozen=True)
@@ -71,13 +78,26 @@ class Corpus:
     item_ids: list = field(default_factory=list)
     report: BuildReport = field(default_factory=BuildReport)
 
+    @classmethod
+    def from_arrays(cls, offsets, items, behaviors, timestamps, train_end, valid_end,
+                    n_items, n_behaviors, user_ids, item_ids, report=None):
+        """The corpus over flat int64 event arrays sorted by user, then time:
+        user u's events are ``offsets[u]:offsets[u + 1]``, and its sequence
+        holds views into the arrays (a Corpus is immutable)."""
+        bounds = offsets.tolist()
+        sequences = [UserSequence(u, items[lo:hi], behaviors[lo:hi], timestamps[lo:hi])
+                     for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+        return cls(sequences, len(sequences), n_items, n_behaviors, train_end, valid_end,
+                   list(user_ids), list(item_ids), BuildReport() if report is None else report)
+
 
 def build_corpus(events, split_fracs=(0.7, 0.1)):
-    """Group, sort, densify and split a flat event list into a Corpus.
+    """Sort, densify and split a flat event list into a Corpus.
 
-    Users with fewer than MIN_EVENTS_PER_USER events are excluded and
-    counted in the report. Split cuts fall at floor(len * f1) and
-    floor(len * (f1 + f2)).
+    Every event must have a timestamp >= 0 and a behavior id in
+    [0, MAX_BEHAVIORS); timestamps and behaviors are read as int64. Users
+    with fewer than MIN_EVENTS_PER_USER events are excluded and counted in
+    the report. Split cuts fall at floor(len * f1) and floor(len * (f1 + f2)).
     """
     f1, f2 = split_fracs
     if not (0 < f1 < 1 and 0 < f2 < 1 and f1 + f2 < 1):
@@ -85,65 +105,41 @@ def build_corpus(events, split_fracs=(0.7, 0.1)):
     if not events:
         raise EmptyCorpus("no events")
 
-    report = BuildReport(n_events_in=len(events))
+    n = len(events)
+    user_index: dict = {}
+    users = np.fromiter((user_index.setdefault(ev.user, len(user_index)) for ev in events),
+                        dtype=np.int64, count=n)
+    timestamps = np.fromiter((ev.timestamp for ev in events), dtype=np.int64, count=n)
+    behaviors = np.fromiter((ev.behavior for ev in events), dtype=np.int64, count=n)
+    bad = np.flatnonzero((timestamps < 0) | (behaviors < 0) | (behaviors >= MAX_BEHAVIORS))
+    if bad.size:
+        raise ValueError(f"negative timestamp or behavior id outside [0, {MAX_BEHAVIORS}): "
+                         f"{events[bad[0]]}")
 
-    by_user: dict = {}
-    for ev in events:
-        if ev.timestamp < 0:
-            raise ValueError(f"negative timestamp: {ev}")
-        by_user.setdefault(ev.user, []).append(ev)
-
-    kept_users = []
-    for raw_uid, evs in by_user.items():
-        if len(evs) < MIN_EVENTS_PER_USER:
-            report.n_users_dropped += 1
-            report.n_events_dropped += len(evs)
-        else:
-            kept_users.append(raw_uid)
-    if not kept_users:
+    counts = np.bincount(users)
+    kept = counts >= MIN_EVENTS_PER_USER
+    if not kept.any():
         raise EmptyCorpus("all users have fewer than 3 events")
-
+    report = BuildReport(n_events_in=n, n_users_dropped=int(np.count_nonzero(~kept)),
+                         n_events_dropped=int(counts[~kept].sum()))
+    # stable: file order breaks timestamp ties within a user
+    order = np.lexsort((timestamps, users))
+    order = order[kept[users[order]]]
     item_index: dict = {}
-    item_ids: list = []
-    sequences = []
-    train_end = np.zeros(len(kept_users), dtype=np.int64)
-    valid_end = np.zeros(len(kept_users), dtype=np.int64)
-    n_behaviors = 0
+    items = np.fromiter((item_index.setdefault(events[j].item, len(item_index)) for j in order),
+                        dtype=np.int64, count=len(order))
 
-    for uid, raw_uid in enumerate(kept_users):
-        evs = by_user[raw_uid]
-        ts = np.array([e.timestamp for e in evs], dtype=np.int64)
-        order = np.argsort(ts, kind="stable")
-        items = np.empty(len(evs), dtype=np.int64)
-        behs = np.empty(len(evs), dtype=np.int64)
-        for pos, j in enumerate(order):
-            ev = evs[j]
-            if ev.item not in item_index:
-                item_index[ev.item] = len(item_ids)
-                item_ids.append(ev.item)
-            items[pos] = item_index[ev.item]
-            if ev.behavior < 0:
-                raise ValueError(f"negative behavior id: {ev}")
-            behs[pos] = ev.behavior
-            n_behaviors = max(n_behaviors, ev.behavior + 1)
-        sequences.append(UserSequence(uid, items, behs, ts[order]))
-        m = len(evs)
-        # the epsilon keeps floor() faithful when f1 + f2 is not exactly
-        # representable (0.7 + 0.1 = 0.7999...9 would shift the cut)
-        train_end[uid] = int(np.floor(m * f1 + 1e-9))
-        valid_end[uid] = int(np.floor(m * (f1 + f2) + 1e-9))
-
-    return Corpus(
-        sequences=sequences,
-        n_users=len(kept_users),
-        n_items=len(item_ids),
-        n_behaviors=n_behaviors,
-        train_end=train_end,
-        valid_end=valid_end,
-        user_ids=list(kept_users),
-        item_ids=item_ids,
-        report=report,
-    )
+    behaviors = behaviors[order]
+    lengths = counts[kept]
+    # the epsilon keeps floor() faithful when f1 + f2 is not exactly
+    # representable (0.7 + 0.1 = 0.7999...9 would shift the cut)
+    return Corpus.from_arrays(
+        np.concatenate(([0], np.cumsum(lengths))), items, behaviors, timestamps[order],
+        np.floor(lengths * f1 + 1e-9).astype(np.int64),
+        np.floor(lengths * (f1 + f2) + 1e-9).astype(np.int64),
+        n_items=len(item_index), n_behaviors=int(behaviors.max()) + 1,
+        user_ids=[u for u, keep in zip(user_index, kept.tolist()) if keep],
+        item_ids=list(item_index), report=report)
 
 
 def length_bucket(seq, thresholds):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rlbl.data import Event
+from rlbl.data import MAX_BEHAVIORS, Event
 
 
 class IoError(OSError):
@@ -45,7 +45,7 @@ class ParseReport:
 
 
 MALFORMED_FRACTION_LIMIT = 0.01
-INT64_MAX = 2 ** 63 - 1  # build_corpus stores timestamps and behaviors as int64
+INT64_MAX = 2 ** 63 - 1  # build_corpus stores timestamps as int64
 
 
 def _finish(records, report, path):
@@ -102,7 +102,8 @@ def parse_generic(path, column_spec=None, behavior_map=None, report=None):
 
     behavior_map=None accepts integer behavior ids verbatim; with a map, an
     unknown behavior label raises FormatError. A scaled timestamp outside
-    [0, 2^63) or a negative behavior makes a line malformed.
+    [0, 2^63) or a behavior id outside [0, MAX_BEHAVIORS) makes a line
+    malformed.
     """
     spec = column_spec or ColumnSpec()
     if report is None:
@@ -141,8 +142,9 @@ def parse_generic(path, column_spec=None, behavior_map=None, report=None):
             except (ValueError, OverflowError):  # overflow: a huge int times a float unit
                 report.malformed.append((lineno, "non-integer timestamp"))
                 continue
-            if not 0 <= ts <= INT64_MAX or not 0 <= behavior <= INT64_MAX:
-                report.malformed.append((lineno, "timestamp or behavior outside [0, 2^63)"))
+            if not 0 <= ts <= INT64_MAX or not 0 <= behavior < MAX_BEHAVIORS:
+                report.malformed.append((lineno, f"timestamp outside [0, 2^63) or behavior "
+                                                 f"outside [0, {MAX_BEHAVIORS})"))
                 continue
             records.append(Event(user=parts[spec.user], item=parts[spec.item],
                                  behavior=behavior, timestamp=ts))

@@ -38,7 +38,10 @@ class TaRlblScorer(_ChainScorer):
 
 
 def scorer_for(params):
-    """Pick the matching scorer by parameter type."""
+    """Pick the matching scorer by parameter type; a model that scores items
+    itself (POP, Markov) is its own scorer."""
+    if hasattr(params, "score_items"):
+        return params
     if isinstance(params, TaRlblParams):
         return TaRlblScorer(params)
     return RlblScorer(params)

@@ -11,7 +11,8 @@ Layout (little-endian):
 The writer emits no timestamps or other volatile state, so identical
 inputs produce byte-identical files. Model kinds: "rlbl", "ta-rlbl",
 "pop", "markov". A corpus may be embedded so that prediction can rebuild
-user histories from the snapshot alone.
+user histories from the snapshot alone; it is stored as the flat,
+user-sorted event arrays and offsets that Corpus.from_arrays reads.
 """
 
 import json
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from rlbl.baselines import MarkovModel, PopModel
-from rlbl.data import BuildReport, Corpus, UserSequence
+from rlbl.data import Corpus
 from rlbl.model import RlblParams
 from rlbl.time_aware import TaRlblParams, TimeBinGrid
 
@@ -73,9 +74,7 @@ def _model_payload(params):
 
 
 def _corpus_payload(corpus):
-    offsets = np.zeros(corpus.n_users + 1, dtype=np.int64)
-    for u in range(corpus.n_users):
-        offsets[u + 1] = offsets[u] + len(corpus.sequences[u])
+    offsets = np.cumsum([0] + [len(s) for s in corpus.sequences], dtype=np.int64)
     items = np.concatenate([s.items for s in corpus.sequences])
     behaviors = np.concatenate([s.behaviors for s in corpus.sequences])
     timestamps = np.concatenate([s.timestamps for s in corpus.sequences])
@@ -136,32 +135,6 @@ def _rebuild_model(kind, meta, arrs):
         m.row_observed = arrs["row_observed"].astype(bool)
         return m
     raise SnapshotError(f"unknown model kind {kind!r}")
-
-
-def _rebuild_corpus(meta, arrs):
-    """The bound corpus; each user's sequence holds views into the arrays
-    load_snapshot copied out of the file (a Corpus is immutable)."""
-    offsets = arrs["corpus_offsets"]
-    sequences = []
-    for u in range(meta["n_users"]):
-        lo, hi = offsets[u], offsets[u + 1]
-        sequences.append(UserSequence(
-            u,
-            arrs["corpus_items"][lo:hi],
-            arrs["corpus_behaviors"][lo:hi],
-            arrs["corpus_timestamps"][lo:hi],
-        ))
-    return Corpus(
-        sequences=sequences,
-        n_users=meta["n_users"],
-        n_items=meta["n_items"],
-        n_behaviors=meta["n_behaviors"],
-        train_end=arrs["corpus_train_end"],
-        valid_end=arrs["corpus_valid_end"],
-        user_ids=list(meta["user_ids"]),
-        item_ids=list(meta["item_ids"]),
-        report=BuildReport(),
-    )
 
 
 def _require(path, what, mapping, keys):
@@ -265,5 +238,8 @@ def load_snapshot(path):
         _require(path, "meta.corpus", meta["corpus"], CORPUS_META)
     _check_values(path, kind, meta, arrs)
     model = _rebuild_model(kind, meta, arrs)
-    corpus = _rebuild_corpus(meta["corpus"], arrs) if "corpus" in meta else None
+    c = meta.get("corpus")
+    corpus = None if c is None else Corpus.from_arrays(
+        *(arrs[name] for name in CORPUS_ARRAYS), c["n_items"], c["n_behaviors"],
+        c["user_ids"], c["item_ids"])
     return kind, model, corpus

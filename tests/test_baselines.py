@@ -4,6 +4,7 @@ import pytest
 from rlbl.baselines import MarkovModel, PopModel, linear_rnn_as_rlbl
 from rlbl.data import Event, build_corpus
 from rlbl.evaluation import evaluate
+from rlbl.scoring import scorer_for
 
 
 def corpus_from_item_lists(user_items, behaviors=None):
@@ -21,6 +22,12 @@ def test_pop_counts_training_segment_only():
     pop = PopModel(c)
     counts = {c.item_ids[i]: int(pop.item_counts[i]) for i in range(c.n_items)}
     assert counts == {"a": 3, "b": 2, "c": 1, "d": 1, "tail": 0}
+
+
+def test_scorer_for_returns_a_baseline_unchanged():
+    c = corpus_from_item_lists([["a", "b", "a", "c", "b"]])
+    for baseline in (PopModel(c), MarkovModel(c)):
+        assert scorer_for(baseline) is baseline
 
 
 def test_pop_scores_are_counts_everywhere():

@@ -17,6 +17,7 @@ from rlbl.cli import (
     main,
     run_gradcheck,
 )
+from rlbl.data import MAX_BEHAVIORS
 
 
 SYNTH_CFG = {
@@ -142,6 +143,7 @@ def test_bad_snapshot_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.snap"
     bad.write_bytes(b"not a snapshot")
     assert main(["evaluate", "--config", str(cfg), "--snapshot", str(bad)]) == EXIT_IO
+    assert not (tmp_path / "out").exists()  # nothing is written before the report
 
 
 def test_dim_mismatch_is_io_error(tmp_path, capsys):
@@ -160,6 +162,7 @@ def test_dim_mismatch_is_io_error(tmp_path, capsys):
     other_cfg = write_cfg(tmp_path, other, name="other.yaml")
     assert main(["evaluate", "--config", str(other_cfg),
                  "--snapshot", str(bare)]) == EXIT_IO
+    assert not (tmp_path / "out2").exists()
 
 
 def test_unknown_model_kind(tmp_path, capsys):
@@ -233,6 +236,9 @@ def test_nonfinite_model_is_numeric_error(tmp_path, capsys):
     # a window of 0 would never ground the recurrent chain
     {"model.n": 0},
     {"model.d": 0},
+    # behavior ids are ints below the cap; the log's label "0" maps to them
+    {"behavior_map": {"0": MAX_BEHAVIORS}},
+    {"behavior_map": {"0": "1"}},
 ])
 def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
     cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rlbl.data import EmptyCorpus, Event, build_corpus, length_bucket
+from rlbl.data import (
+    MAX_BEHAVIORS,
+    MIN_EVENTS_PER_USER,
+    BuildReport,
+    EmptyCorpus,
+    Event,
+    build_corpus,
+    length_bucket,
+)
 
 
 def ev(user, item, behavior=0, ts=0):
@@ -74,6 +84,84 @@ def test_vocab_counts_are_max_index_plus_one():
     max_beh = max(int(s.behaviors.max()) for s in corpus.sequences)
     assert corpus.n_items == max_item + 1
     assert corpus.n_behaviors == max_beh + 1
+
+
+def test_behavior_ids_must_lie_below_the_cap():
+    largest = build_corpus(user_events("a", 4) + [ev("a", "x", MAX_BEHAVIORS - 1, 9)])
+    assert largest.n_behaviors == MAX_BEHAVIORS
+    # an id past the cap used to size M by the largest id (10^12 ids: 29 TiB at d=2)
+    for behavior in (MAX_BEHAVIORS, 10 ** 12):
+        with pytest.raises(ValueError, match="behavior"):
+            build_corpus(user_events("a", 4) + [ev("a", "x", behavior, 9)])
+
+
+@pytest.mark.parametrize("bad", [ev("drop", "q", behavior=-1, ts=1), ev("drop", "q", ts=-1)])
+def test_negative_value_of_a_dropped_user_raises(bad):
+    # every event is checked, not only those of users who keep their events
+    with pytest.raises(ValueError, match="negative"):
+        build_corpus(user_events("keep", 5) + [bad])
+
+
+def reference_build_corpus(events, split_fracs):
+    """The per-user algorithm build_corpus replaced: group events in a dict of
+    lists, argsort each user stably by timestamp, densify items event by event."""
+    f1, f2 = split_fracs
+    by_user = {}
+    for e in events:
+        by_user.setdefault(e.user, []).append(e)
+    kept = [u for u, evs in by_user.items() if len(evs) >= MIN_EVENTS_PER_USER]
+    dropped = [evs for evs in by_user.values() if len(evs) < MIN_EVENTS_PER_USER]
+    if not kept:
+        raise EmptyCorpus("all users have fewer than 3 events")
+    item_index, sequences, n_behaviors = {}, [], 0
+    for u in kept:
+        evs = by_user[u]
+        ts = np.array([e.timestamp for e in evs], dtype=np.int64)
+        order = np.argsort(ts, kind="stable")
+        items = [item_index.setdefault(evs[j].item, len(item_index)) for j in order]
+        behaviors = [evs[j].behavior for j in order]
+        n_behaviors = max([n_behaviors] + [b + 1 for b in behaviors])
+        sequences.append((np.array(items, dtype=np.int64), np.array(behaviors, dtype=np.int64),
+                          ts[order]))
+    lengths = [len(by_user[u]) for u in kept]
+    return dict(
+        sequences=sequences, n_items=len(item_index), n_behaviors=n_behaviors,
+        train_end=[int(np.floor(m * f1 + 1e-9)) for m in lengths],
+        valid_end=[int(np.floor(m * (f1 + f2) + 1e-9)) for m in lengths],
+        user_ids=kept, item_ids=list(item_index),
+        report=BuildReport(len(events), len(dropped), sum(len(evs) for evs in dropped)))
+
+
+# few users and items, so that users share items and some fall below 3 events;
+# few timestamps, so that ties are common; behavior ids with gaps
+EVENTS = st.lists(st.builds(
+    Event, user=st.sampled_from("abcde"), item=st.sampled_from("pqrstuvw"),
+    behavior=st.sampled_from([0, 2, 3, 7, MAX_BEHAVIORS - 1]),
+    timestamp=st.one_of(st.integers(0, 4), st.integers(0, 2 ** 63 - 1))), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=EVENTS,
+       split=st.sampled_from([(0.7, 0.1), (0.5, 0.25), (0.34, 0.33), (0.1, 0.8)]))
+def test_build_corpus_matches_per_user_reference(events, split):
+    try:
+        want = reference_build_corpus(events, split)
+    except EmptyCorpus:
+        with pytest.raises(EmptyCorpus):
+            build_corpus(events, split)
+        return
+    c = build_corpus(events, split)
+    assert (c.n_users, c.n_items, c.n_behaviors, c.user_ids, c.item_ids, c.report) == (
+        len(want["user_ids"]), want["n_items"], want["n_behaviors"], want["user_ids"],
+        want["item_ids"], want["report"])
+    for name in ("train_end", "valid_end"):
+        got = getattr(c, name)
+        assert got.dtype == np.int64 and got.tolist() == want[name]
+    assert len(c.sequences) == len(want["sequences"])
+    for u, (seq, arrays) in enumerate(zip(c.sequences, want["sequences"])):
+        assert seq.user_id == u
+        for got, expected in zip((seq.items, seq.behaviors, seq.timestamps), arrays):
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
 def test_segments_partition_sequence():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rlbl.data import EmptyCorpus, Event, build_corpus
+from rlbl.data import MAX_BEHAVIORS, EmptyCorpus, Event, build_corpus
 from rlbl.ingestion import (
     ColumnSpec,
     FormatError,
@@ -107,6 +107,20 @@ def test_generic_negative_values_malformed(tmp_path):
     rep = ParseReport()
     events = parse_generic(f, report=rep)
     assert len(events) == 200 and len(rep.malformed) == 1
+
+
+def test_generic_behavior_past_cap_is_malformed(tmp_path):
+    # a behavior of 10^12 used to pass, and rlbl train then sized M by it
+    lines = [f"u{t % 3}\ti{t % 4}\t1\t{t}\n" for t in range(300)]
+    lines[10] = f"u0\ti0\t{10 ** 12}\t10\n"
+    lines[20] = f"u0\ti0\t{MAX_BEHAVIORS}\t20\n"
+    lines[30] = f"u0\ti0\t{MAX_BEHAVIORS - 1}\t30\n"  # the largest id fits
+    f = tmp_path / "log.tsv"
+    f.write_text("".join(lines))
+    rep = ParseReport()
+    events = parse_generic(f, report=rep)
+    assert [line for line, _ in rep.malformed] == [11, 21]
+    assert build_corpus(events).n_behaviors == MAX_BEHAVIORS
 
 
 @pytest.mark.parametrize("fmt", ["generic", "movielens"])
