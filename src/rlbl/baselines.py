@@ -1,14 +1,18 @@
 """Reference predictors: popularity, first-order Markov chain, linear RNN.
 
-All baselines plug into evaluation through the same score_items interface
-as the model scorers. The linear RNN is not a separate implementation: it
-is an RLBL configuration with window width 1 and identity behavior
-matrices, trained by the shared trainer.
+All baselines plug into evaluation through the same score_positions
+interface as the model scorers. The linear RNN is not a separate
+implementation: it is an RLBL configuration with window width 1 and
+identity behavior matrices, trained by the shared trainer.
 """
 
 import numpy as np
 
 from rlbl.model import RlblParams, init_rlbl_params
+
+
+def _training_segments(corpus):
+    return [seq.items[:end] for seq, end in zip(corpus.sequences, corpus.train_end)]
 
 
 class PopModel:
@@ -20,18 +24,18 @@ class PopModel:
             self.fit(corpus)
 
     def fit(self, corpus):
-        counts = np.zeros(corpus.n_items, dtype=np.int64)
-        for u in range(corpus.n_users):
-            seq = corpus.sequences[u]
-            train = seq.items[: corpus.train_end[u]]
-            np.add.at(counts, train, 1)
+        counts = np.bincount(np.concatenate(_training_segments(corpus)), minlength=corpus.n_items)
         if counts.sum() == 0:
             raise ValueError("empty training segment")
         self.item_counts = counts
         return self
 
-    def score_items(self, seq, k, behavior):
-        return self.item_counts.astype(np.float64)
+    @property
+    def n_items(self):
+        return len(self.item_counts)
+
+    def score_positions(self, seq, ks, behaviors):
+        return np.tile(self.item_counts.astype(np.float64), (len(ks), 1))
 
 
 class MarkovModel:
@@ -48,26 +52,27 @@ class MarkovModel:
     def fit(self, corpus):
         n = corpus.n_items
         counts = np.zeros((n, n), dtype=np.float64)
-        for u in range(corpus.n_users):
-            seq = corpus.sequences[u]
-            train = seq.items[: corpus.train_end[u]]
-            for a, b in zip(train[:-1], train[1:]):
-                counts[a, b] += 1.0
+        for train in _training_segments(corpus):
+            np.add.at(counts, (train[:-1], train[1:]), 1.0)
         row_sums = counts.sum(axis=1)
         self.row_observed = row_sums > 0
-        trans = np.zeros_like(counts)
-        trans[self.row_observed] = counts[self.row_observed] / row_sums[self.row_observed, None]
-        self.transitions = trans
+        self.transitions = np.divide(counts, row_sums[:, None], out=np.zeros_like(counts),
+                                     where=self.row_observed[:, None])
         pop = PopModel(corpus).item_counts.astype(np.float64)
-        total = pop.sum()
-        self.fallback = pop / total if total > 0 else pop
+        self.fallback = pop / pop.sum()
         return self
 
-    def score_items(self, seq, k, behavior):
-        prev = int(seq.items[k - 1]) if k >= 1 else None
-        if prev is None or not self.row_observed[prev]:
-            return self.fallback.copy()
-        return self.transitions[prev].copy()
+    @property
+    def n_items(self):
+        return self.transitions.shape[0]
+
+    def score_positions(self, seq, ks, behaviors):
+        """Each row is the transition row of the item at position k, or the
+        fallback at k = 0 and after an item with no training transition."""
+        ks = np.asarray(ks)
+        prev = seq.items[np.maximum(ks - 1, 0)]
+        known = (ks >= 1) & self.row_observed[prev]
+        return np.where(known[:, None], self.transitions[prev], self.fallback)
 
 
 def linear_rnn_as_rlbl(corpus, d, seed=0):

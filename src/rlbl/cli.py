@@ -195,19 +195,10 @@ def init_model(cfg, corpus):
 
 
 def train_config(cfg):
-    t = cfg["train"]
-    kind = cfg["model"]["kind"]
-    return training.TrainConfig(
-        lam=t["lam"],
-        learning_rate=t["learning_rate"],
-        lr_decay=t["lr_decay"],
-        negatives_per_positive=t["negatives_per_positive"],
-        epochs=t["epochs"],
-        rng_seed=cfg["seed"],
-        bptt_truncation=t["bptt_truncation"],
-        train_behavior_mats=t["train_behavior_mats"] and kind != "linear-rnn",
-        clip_norm=t["clip_norm"],
-    )
+    """The TrainConfig of the train section: every key but patience is a field."""
+    t = {key: value for key, value in cfg["train"].items() if key != "patience"}
+    t["train_behavior_mats"] &= cfg["model"]["kind"] != "linear-rnn"
+    return training.TrainConfig(**t, rng_seed=cfg["seed"])
 
 
 def eval_config(cfg, segment="test"):
@@ -288,14 +279,10 @@ def cmd_evaluate(cfg, snapshot_path):
 
 
 def _check_dims(params, corpus):
-    n_items = getattr(params, "n_items", None)
-    if n_items is None and getattr(params, "item_counts", None) is not None:
-        n_items = len(params.item_counts)
-    if n_items is None and getattr(params, "transitions", None) is not None:
-        n_items = params.transitions.shape[0]
-    if n_items is not None and n_items != corpus.n_items:
-        raise snapshot.SnapshotError(
-            f"snapshot has {n_items} items but corpus has {corpus.n_items}")
+    for size in ("n_users", "n_items", "n_behaviors"):
+        have, want = getattr(params, size, None), getattr(corpus, size)
+        if have is not None and have != want:
+            raise snapshot.SnapshotError(f"snapshot has {have} {size[2:]} but corpus has {want}")
 
 
 class UserError(KeyError):
@@ -303,15 +290,19 @@ class UserError(KeyError):
 
 
 def cmd_predict(snapshot_path, user, behavior, top_k):
+    if top_k < 1:
+        raise ConfigError(f"--top-k must be at least 1: {top_k}")
     kind, params, corpus = snapshot.load_snapshot(snapshot_path)
     if corpus is None:
         raise snapshot.SnapshotError("snapshot carries no corpus binding; retrain with it")
+    if not 0 <= behavior < corpus.n_behaviors:
+        raise ConfigError(f"--behavior must be in [0, {corpus.n_behaviors}): {behavior}")
     try:
         uid = corpus.user_ids.index(str(user))
     except ValueError:
         raise UserError(f"unknown user {user!r}") from None
     seq = corpus.sequences[uid]
-    ranked = scoring.top_k_items(scoring.scorer_for(params), seq, len(seq), int(behavior), top_k)
+    ranked = scoring.top_k_items(scoring.scorer_for(params), seq, len(seq), behavior, top_k)
     for item, value in ranked:
         print(f"{corpus.item_ids[item]}\t{value:.6f}")
     return EXIT_OK

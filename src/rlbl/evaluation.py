@@ -37,6 +37,8 @@ class EvalConfig:
             raise ValueError(f"bucket thresholds must be two, strictly increasing: {t}")
         if self.target_behaviors is not None:
             self.target_behaviors = frozenset(int(b) for b in self.target_behaviors)
+        if self.segment not in ("test", "valid"):
+            raise ValueError(f"segment must be 'test' or 'valid': {self.segment!r}")
 
 
 @dataclass
@@ -48,13 +50,17 @@ class RankingReport:
     buckets: dict = field(default_factory=dict)  # bucket name -> RankingReport
 
 
+def ranks_of_targets(rows, targets):
+    """1-based rank of each row's target t: 1 + count(s > t) + count(s == t before it)."""
+    rows, targets = np.asarray(rows), np.asarray(targets)
+    t = np.take_along_axis(rows, targets[:, None], axis=1)
+    ahead = (rows > t) | ((rows == t) & (np.arange(rows.shape[1]) < targets[:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
 def rank_of_target(scores, target):
     """1-based rank of the target item under index-order tie-breaking."""
-    scores = np.asarray(scores)
-    t = scores[target]
-    greater = int(np.count_nonzero(scores > t))
-    tied_before = int(np.count_nonzero(scores[:target] == t))
-    return 1 + greater + tied_before
+    return int(ranks_of_targets([scores], [target])[0])
 
 
 def instance_metrics(rank, cutoffs):
@@ -81,17 +87,17 @@ def eval_positions(corpus, user_id, config):
         lo, hi = int(corpus.train_end[user_id]), int(corpus.valid_end[user_id])
     else:
         lo, hi = int(corpus.valid_end[user_id]), len(seq)
-    for k in range(max(lo, 1), hi):
-        b = int(seq.behaviors[k])
-        if config.target_behaviors is None or b in config.target_behaviors:
-            yield k
+    ks = np.arange(max(lo, 1), hi)
+    if config.target_behaviors is None:
+        return ks
+    return ks[np.isin(seq.behaviors[ks], list(config.target_behaviors))]
 
 
 def evaluate(scorer, corpus, config=None):
     """Score every qualifying test position of every user and aggregate.
 
-    ``scorer`` must provide score_items(seq, k, behavior) -> (n_items,)
-    scores for the item at position k+1 given history up to k; hidden
+    ``scorer`` must provide score_positions(seq, ks, behaviors), called
+    once per user with all of its positions (see rlbl.scoring); hidden
     states condition on the full preceding history (training + validation
     + earlier test events). Parameters are never modified. A non-finite
     score raises NumericError instead of being ranked (a NaN target would
@@ -100,23 +106,23 @@ def evaluate(scorer, corpus, config=None):
     if config is None:
         config = EvalConfig()
 
-    all_instances = []
-    by_bucket = {}
-    for u in range(corpus.n_users):
-        seq = corpus.sequences[u]
-        for k in eval_positions(corpus, u, config):
-            b = int(seq.behaviors[k])
-            target = int(seq.items[k])
-            scores = finite_scores(scorer, seq, k, b)
-            if config.exclude_seen:
-                scores = scores.copy()
-                seen = np.unique(seq.items[:k])
-                keep = scores[target]
-                scores[seen] = -np.inf
-                scores[target] = keep
-            metrics = instance_metrics(rank_of_target(scores, target), config.cutoffs)
-            all_instances.append(metrics)
-            by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).append(metrics)
+    all_instances, by_bucket = [], {}
+    for u, seq in enumerate(corpus.sequences):
+        ks = eval_positions(corpus, u, config)
+        if not len(ks):
+            continue
+        targets = seq.items[ks]
+        block = finite_scores(scorer, seq, ks, seq.behaviors[ks])
+        if config.exclude_seen:  # items first seen before k score -inf, except the target
+            first = np.full(block.shape[1], len(seq))
+            np.minimum.at(first, seq.items, np.arange(len(seq)))
+            seen = first < ks[:, None]
+            seen[np.arange(len(ks)), targets] = False
+            block = np.where(seen, -np.inf, block)
+        metrics = [instance_metrics(int(rank), config.cutoffs)
+                   for rank in ranks_of_targets(block, targets)]
+        all_instances += metrics
+        by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).extend(metrics)
     if not all_instances:
         raise EmptyEval("no qualifying test instance")
 

@@ -192,8 +192,13 @@ def score(params, h, user_id, behavior_id, item_id):
     return float(s @ params.M[behavior_id] @ params.item_vecs[item_id])
 
 
+def score_rows(params, H, user_id, behaviors):
+    """(m, n_items) scores, row j (H[j] + u_u)^T M_{b_j} r_v over all v, each
+    row with the bits of V @ (M_b^T (h + u_u)) alone."""
+    P = _matvecs(params.M[behaviors].transpose(0, 2, 1), H + params.user_vecs[user_id])
+    return np.matmul(params.item_vecs[None], P[:, :, None])[:, :, 0]
+
+
 def score_all_items(params, h, user_id, behavior_id):
     """Scores for every item under one behavior, as an (n_items,) array."""
-    s = _state_vec(h) + params.user_vecs[user_id]
-    proj = params.M[behavior_id].T @ s
-    return params.item_vecs @ proj
+    return score_rows(params, _state_vec(h)[None], user_id, [behavior_id])[0]

@@ -1,15 +1,15 @@
 """Scorer adapters plugging models into the shared evaluation interface.
 
-A scorer exposes score_items(seq, k, behavior) -> (n_items,) array of
-scores for the candidate item at position k+1. Model scorers memoize the
-hidden-state chain per user; memoization is value-equal to the uncached
-recursion and is only safe while parameters are not updated.
+A scorer exposes score_positions(seq, ks, behaviors) -> (len(ks), n_items)
+array whose row j scores the candidate items at position ks[j]+1 under
+behaviors[j]. The model scorer memoizes the hidden-state chain per user;
+memoization is value-equal to the uncached recursion and is only safe
+while parameters are not updated.
 """
 
 import numpy as np
 
-from rlbl.model import NumericError, hidden_chain, score_all_items
-from rlbl.time_aware import TaRlblParams
+from rlbl.model import NumericError, hidden_chain, score_rows
 
 
 class _ChainScorer:
@@ -19,44 +19,36 @@ class _ChainScorer:
         self.params = params
         self._chains = {}
 
-    def score_items(self, seq, k, behavior):
+    def score_positions(self, seq, ks, behaviors):
         chain = self._chains.get(seq.user_id)
-        if chain is None or chain.shape[0] <= k:
-            chain = hidden_chain(self.params, seq, max(len(seq) - 1, k))
-            self._chains[seq.user_id] = chain
-        return score_all_items(self.params, chain[k], seq.user_id, behavior)
+        if chain is None or chain.shape[0] <= np.max(ks):
+            upto = max(len(seq) - 1, int(np.max(ks)))
+            chain = self._chains[seq.user_id] = hidden_chain(self.params, seq, upto)
+        return score_rows(self.params, chain[ks], seq.user_id, behaviors)
 
 
-# perfbench/bench.py patches score_items on both names; as siblings (not one
-# subclassing the other) each call is traced once.
-class RlblScorer(_ChainScorer):
-    """Scorer for RlblParams."""
-
-
-class TaRlblScorer(_ChainScorer):
-    """Scorer for TaRlblParams."""
+# the names perfbench/bench.py looks up
+RlblScorer = TaRlblScorer = _ChainScorer
 
 
 def scorer_for(params):
-    """Pick the matching scorer by parameter type; a model that scores items
-    itself (POP, Markov) is its own scorer."""
-    if hasattr(params, "score_items"):
-        return params
-    if isinstance(params, TaRlblParams):
-        return TaRlblScorer(params)
-    return RlblScorer(params)
+    """The scorer for a model; a baseline (POP, Markov) is its own scorer."""
+    return params if hasattr(params, "score_positions") else _ChainScorer(params)
 
 
-def finite_scores(scorer, seq, k, behavior):
-    """scorer.score_items as an array; NumericError if any score is not finite."""
-    scores = np.asarray(scorer.score_items(seq, k, behavior))
-    if not np.isfinite(scores).all():
-        raise NumericError(f"non-finite score for user {seq.user_id} at position {k}")
-    return scores
+def finite_scores(scorer, seq, ks, behaviors):
+    """scorer.score_positions as an array; NumericError naming the first
+    position with a score that is not finite."""
+    block = np.asarray(scorer.score_positions(seq, ks, behaviors))
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite score for user {seq.user_id} "
+                           f"at position {ks[int(np.argmin(finite))]}")
+    return block
 
 
 def top_k_items(scorer, seq, k, behavior, top_k):
     """Ranked (item, score) list for the next position, ties by index."""
-    scores = finite_scores(scorer, seq, k, behavior)
+    scores = finite_scores(scorer, seq, [k], [behavior])[0]
     order = np.argsort(-scores, kind="stable")[:top_k]
     return [(int(i), float(scores[i])) for i in order]

@@ -33,15 +33,16 @@ def test_scorer_for_returns_a_baseline_unchanged():
 def test_pop_scores_are_counts_everywhere():
     c = corpus_from_item_lists([["a", "b", "a", "c", "a", "b", "d", "e", "f", "g"]])
     pop = PopModel(c)
-    s = pop.score_items(c.sequences[0], 5, 0)
-    assert np.array_equal(s, pop.item_counts.astype(float))
+    s = pop.score_positions(c.sequences[0], [5], [0])
+    assert np.array_equal(s, pop.item_counts.astype(float)[None])
 
 
 def test_pop_is_behavior_and_position_agnostic():
     c = corpus_from_item_lists([["a", "b", "c", "d", "e"]])
     pop = PopModel(c)
     seq = c.sequences[0]
-    assert np.array_equal(pop.score_items(seq, 1, 0), pop.score_items(seq, 4, 7))
+    s = pop.score_positions(seq, [1, 4], [0, 7])
+    assert np.array_equal(s[0], s[1])
 
 
 def test_markov_rows_are_normalized_frequencies():
@@ -62,9 +63,58 @@ def test_markov_fallback_for_unseen_rows():
     idx_unseen = c.item_ids.index("e")
     assert not mk.row_observed[idx_unseen]
     seq = c.sequences[0]
-    scores = mk.score_items(seq, 7, 0)  # previous item is "e", unseen in training
+    scores = mk.score_positions(seq, [7], [0])[0]  # previous item is "e", unseen in training
     assert np.array_equal(scores, mk.fallback)
     assert scores.sum() == pytest.approx(1.0)
+
+
+def test_fits_match_per_event_counts():
+    rng = np.random.default_rng(4)
+    c = corpus_from_item_lists([[f"i{rng.integers(9)}" for _ in range(rng.integers(3, 15))]
+                                for _ in range(8)])
+    counts, pairs = np.zeros(c.n_items), np.zeros((c.n_items, c.n_items))
+    for seq, end in zip(c.sequences, c.train_end):
+        for j in range(end):
+            counts[seq.items[j]] += 1
+            if j:
+                pairs[seq.items[j - 1], seq.items[j]] += 1
+    assert np.array_equal(PopModel(c).item_counts, counts)
+    mk = MarkovModel(c)
+    rows = pairs.sum(axis=1) > 0
+    assert np.array_equal(mk.row_observed, rows)
+    assert np.array_equal(mk.transitions[rows], pairs[rows] / pairs[rows].sum(axis=1)[:, None])
+    assert not mk.transitions[~rows].any()
+    assert np.array_equal(mk.fallback, counts / counts.sum())
+
+
+def per_position_pop(pop, seq, k, behavior):
+    """The per-position POP rule: training counts, wherever and however."""
+    return pop.item_counts.astype(np.float64)
+
+
+def per_position_markov(mk, seq, k, behavior):
+    """The per-position Markov rule: the previous item's transition row, or
+    the fallback at k = 0 and after an item with no training transition."""
+    prev = int(seq.items[k - 1]) if k >= 1 else None
+    if prev is None or not mk.row_observed[prev]:
+        return mk.fallback.copy()
+    return mk.transitions[prev].copy()
+
+
+def test_baseline_rows_follow_the_per_position_rules():
+    # "e" and "f" occur only after the training segment, so their rows are unseen
+    c = corpus_from_item_lists([list("abacbacbabeafc"), list("cabcafe")],
+                               behaviors=[[t % 2 for t in range(14)], [1] * 7])
+    for model, rule in ((PopModel(c), per_position_pop), (MarkovModel(c), per_position_markov)):
+        for seq in c.sequences:
+            ks = np.arange(len(seq), -1, -1)  # down to k = 0, which has no previous item
+            behaviors = np.resize(seq.behaviors, len(ks))
+            block = model.score_positions(seq, ks, behaviors)
+            assert block.shape == (len(ks), c.n_items)
+            for row, k, b in zip(block, ks, behaviors):
+                assert np.array_equal(row, rule(model, seq, k, b))
+    mk = MarkovModel(c)
+    assert not mk.row_observed[c.item_ids.index("e")] and not mk.row_observed[c.item_ids.index("f")]
 
 
 def test_markov_beats_pop_on_deterministic_chain():

@@ -101,6 +101,18 @@ def test_predict_unknown_user_is_config_error(tmp_path, capsys):
                  "--behavior", "0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("behavior, top_k", [(2, 3), (99, 3), (-1, 3), (0, 0), (0, -1)])
+def test_predict_rejects_bad_behavior_and_top_k(tmp_path, capsys, behavior, top_k):
+    cfg = cfg_with_out(tmp_path)  # two behaviors
+    main(["train", "--config", str(cfg)])
+    capsys.readouterr()
+    snap = str(tmp_path / "out" / "model.snap")
+    assert main(["predict", "--snapshot", snap, "--user", "u0", "--behavior", str(behavior),
+                 "--top-k", str(top_k)]) == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.out == "" and ("--behavior" if top_k > 0 else "--top-k") in out.err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -150,19 +162,22 @@ def test_dim_mismatch_is_io_error(tmp_path, capsys):
     cfg = cfg_with_out(tmp_path)
     main(["train", "--config", str(cfg)])
     snap = str(tmp_path / "out" / "model.snap")
-    other = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
-    other["dataset"]["synth"]["n_items"] = 30
-    other["out"] = str(tmp_path / "out2")
     # strip the corpus binding so evaluate rebuilds from config
     from rlbl.snapshot import load_snapshot, save_snapshot
 
     _, params, _ = load_snapshot(snap)
     bare = tmp_path / "bare.snap"
     save_snapshot(bare, params)
-    other_cfg = write_cfg(tmp_path, other, name="other.yaml")
-    assert main(["evaluate", "--config", str(other_cfg),
-                 "--snapshot", str(bare)]) == EXIT_IO
-    assert not (tmp_path / "out2").exists()
+    for size, value in (("n_items", 30), ("n_users", 10), ("n_behaviors", 3)):
+        other = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+        other["dataset"]["synth"][size] = value
+        other["out"] = str(tmp_path / "out2")
+        other_cfg = write_cfg(tmp_path, other, name="other.yaml")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(other_cfg),
+                     "--snapshot", str(bare)]) == EXIT_IO
+        assert f"{size[2:]} but corpus has {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out2").exists()
 
 
 def test_unknown_model_kind(tmp_path, capsys):

@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlbl.data import Event, build_corpus
+from rlbl.data import Event, build_corpus, length_bucket
 from rlbl.evaluation import (
     EmptyEval,
     EvalConfig,
+    RankingReport,
     eval_positions,
     evaluate,
     instance_metrics,
     rank_of_target,
+    ranks_of_targets,
     report_rows,
     report_table,
 )
-from rlbl.model import NumericError
+from rlbl.model import NumericError, hidden_chain
+from rlbl.scoring import scorer_for
+from tests.test_model import random_params
 
 
 def sort_oracle_rank(scores, target):
@@ -47,12 +51,18 @@ SCORE = st.one_of(st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 2.5, math.inf]),
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.lists(SCORE, min_size=1, max_size=40), st.data())
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(SCORE, min_size=n, max_size=n), min_size=1, max_size=6)), st.data())
 def test_rank_is_position_in_stable_argsort(values, data):
-    scores = np.array(values)
-    target = data.draw(st.integers(0, len(values) - 1))
-    order = np.argsort(-scores, kind="stable")
-    assert rank_of_target(scores, target) == int(np.flatnonzero(order == target)[0]) + 1
+    rows = np.array(values)
+    targets = data.draw(st.lists(st.integers(0, rows.shape[1] - 1),
+                                 min_size=len(rows), max_size=len(rows)))
+    ranks = ranks_of_targets(rows, targets)
+    for scores, target, rank in zip(rows, targets, ranks):
+        order = np.argsort(-scores, kind="stable")
+        expected = int(np.flatnonzero(order == target)[0]) + 1
+        assert rank_of_target(scores, target) == expected
+        assert rank == expected
 
 
 def test_rank_large_vector():
@@ -95,8 +105,8 @@ class FixedScorer:
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=float)
 
-    def score_items(self, seq, k, behavior):
-        return self.scores
+    def score_positions(self, seq, ks, behaviors):
+        return np.tile(self.scores, (len(ks), 1))
 
 
 class RandomScorer:
@@ -104,8 +114,8 @@ class RandomScorer:
         self.n_items = n_items
         self.rng = np.random.default_rng(seed)
 
-    def score_items(self, seq, k, behavior):
-        return self.rng.normal(size=self.n_items)
+    def score_positions(self, seq, ks, behaviors):
+        return self.rng.normal(size=(len(ks), self.n_items))
 
 
 def grid_corpus(n_users=8, n_items=20, length=30, n_behaviors=2, seed=0):
@@ -140,9 +150,9 @@ def test_perfect_scorer_gets_everything_right():
     c = grid_corpus(seed=7)
 
     class Oracle:
-        def score_items(self, seq, k, behavior):
-            s = np.zeros(c.n_items)
-            s[int(seq.items[k])] = 1.0
+        def score_positions(self, seq, ks, behaviors):
+            s = np.zeros((len(ks), c.n_items))
+            s[np.arange(len(ks)), seq.items[ks]] = 1.0
             return s
 
     rep = evaluate(Oracle(), c)
@@ -240,12 +250,68 @@ def test_report_rows_roundtrip_values():
 @pytest.mark.parametrize("exclude_seen", [False, True])
 def test_nonfinite_scores_raise(bad, exclude_seen):
     # a NaN target would otherwise rank first; the check runs on the
-    # scorer's own row, before exclude_seen writes its -inf entries
+    # scorer's own rows, before exclude_seen writes its -inf entries
     c = grid_corpus(seed=18)
     base = np.arange(c.n_items, dtype=float)
-    base[1] = bad
-    with pytest.raises(NumericError):
-        evaluate(FixedScorer(base), c, EvalConfig(exclude_seen=exclude_seen))
+    first_bad = int(c.valid_end[2]) + 3  # user 2's fourth test position and every later one
+
+    class LateBadScorer:
+        def score_positions(self, seq, ks, behaviors):
+            rows = np.tile(base, (len(ks), 1))
+            if seq.user_id >= 2:
+                rows[np.asarray(ks) >= first_bad, 1] = bad
+            return rows
+
+    with pytest.raises(NumericError, match=f"user 2 at position {first_bad}$"):
+        evaluate(LateBadScorer(), c, EvalConfig(exclude_seen=exclude_seen))
+
+
+def per_position_table(params, corpus, config):
+    """report_table of the per-position loop: one score vector, one
+    exclude_seen copy and one sort-based rank per test position."""
+    instances, by_bucket = [], {}
+    for u, seq in enumerate(corpus.sequences):
+        H = hidden_chain(params, seq, len(seq) - 1)
+        for k in eval_positions(corpus, u, config):
+            b, target = int(seq.behaviors[k]), int(seq.items[k])
+            scores = params.item_vecs @ (params.M[b].T @ (H[k] + params.user_vecs[u]))
+            if config.exclude_seen:
+                keep = scores[target]
+                scores[np.unique(seq.items[:k])] = -np.inf
+                scores[target] = keep
+            order = np.argsort(-scores, kind="stable")
+            rank = int(np.flatnonzero(order == target)[0]) + 1
+            metrics = instance_metrics(rank, config.cutoffs)
+            instances.append(metrics)
+            by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).append(metrics)
+
+    def aggregate(group):
+        n = len(group)
+        return RankingReport(
+            recall={k: math.fsum(r[k] for r, _, _ in group) / n for k in config.cutoffs},
+            f1={k: math.fsum(f[k] for _, f, _ in group) / n for k in config.cutoffs},
+            map=math.fsum(a for _, _, a in group) / n, n_instances=n)
+
+    report = aggregate(instances)
+    for bucket in ("short", "medium", "long"):
+        if bucket in by_bucket:
+            report.buckets[bucket] = aggregate(by_bucket[bucket])
+    return report_table(report)
+
+
+@pytest.mark.parametrize("segment", ["valid", "test"])
+@pytest.mark.parametrize("target_behaviors", [None, {1}])
+def test_batched_evaluate_matches_the_per_position_loop(segment, target_behaviors):
+    # a small vocabulary makes most targets repeats, so exclude_seen masks a lot
+    events = [Event(f"u{u}", f"i{(t * (u + 1)) % 9 if t % 4 else 9 + t % 7}", t % 3 % 2, t)
+              for u, length in enumerate((20, 60, 230, 35)) for t in range(length)]
+    c = build_corpus(events)
+    params = random_params(n_users=c.n_users, n_items=c.n_items, n_behaviors=c.n_behaviors, seed=19)
+    for exclude_seen in (False, True):
+        config = EvalConfig(segment=segment, target_behaviors=target_behaviors,
+                            exclude_seen=exclude_seen)
+        assert (report_table(evaluate(scorer_for(params), c, config))
+                == per_position_table(params, c, config))
 
 
 def test_config_validation():
@@ -255,3 +321,5 @@ def test_config_validation():
         EvalConfig(cutoffs=())
     with pytest.raises(ValueError):
         EvalConfig(cutoffs=(0, 1))
+    with pytest.raises(ValueError, match="segment"):
+        EvalConfig(segment="tset")

@@ -156,8 +156,8 @@ def test_loaded_model_scores_identically(tmp_path):
     save_snapshot(f, p, corpus=c)
     _, loaded, lc = load_snapshot(f)
     seq, lseq = c.sequences[1], lc.sequences[1]
-    s1 = scorer_for(p).score_items(seq, 4, 1)
-    s2 = scorer_for(loaded).score_items(lseq, 4, 1)
+    s1 = scorer_for(p).score_positions(seq, [2, 4], [0, 1])
+    s2 = scorer_for(loaded).score_positions(lseq, [2, 4], [0, 1])
     assert np.array_equal(s1, s2)
 
 
