@@ -59,6 +59,21 @@ def _finish(records, report, path):
     return records
 
 
+def _lines(path, report, skip_first=False):
+    """(line number, text) of each non-blank line, counted in report.n_lines;
+    skip_first drops line 1 (a header). An unreadable file raises IoError."""
+    try:
+        fh = open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line and not (skip_first and lineno == 1):
+                report.n_lines += 1
+                yield lineno, line
+
+
 def parse_movielens(path, report=None):
     """Parse a `user::item::rating::timestamp` ratings file into events.
 
@@ -69,31 +84,22 @@ def parse_movielens(path, report=None):
     if report is None:
         report = ParseReport()
     records = []
-    try:
-        fh = open(path, encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            report.n_lines += 1
-            parts = line.split("::")
-            if len(parts) != 4:
-                report.malformed.append((lineno, f"expected 4 fields, got {len(parts)}"))
-                continue
-            user, item, rating_s, ts_s = parts
-            try:
-                rating = int(rating_s)
-                ts = int(ts_s)
-            except ValueError:
-                report.malformed.append((lineno, "non-integer rating or timestamp"))
-                continue
-            if not 1 <= rating <= 5 or not 0 <= ts <= INT64_MAX:
-                report.malformed.append((lineno, f"rating {rating} or timestamp {ts} out of range"))
-                continue
-            records.append(Event(user=user, item=item, behavior=rating - 1, timestamp=ts))
+    for lineno, line in _lines(path, report):
+        parts = line.split("::")
+        if len(parts) != 4:
+            report.malformed.append((lineno, f"expected 4 fields, got {len(parts)}"))
+            continue
+        user, item, rating_s, ts_s = parts
+        try:
+            rating = int(rating_s)
+            ts = int(ts_s)
+        except ValueError:
+            report.malformed.append((lineno, "non-integer rating or timestamp"))
+            continue
+        if not 1 <= rating <= 5 or not 0 <= ts <= INT64_MAX:
+            report.malformed.append((lineno, f"rating {rating} or timestamp {ts} out of range"))
+            continue
+        records.append(Event(user=user, item=item, behavior=rating - 1, timestamp=ts))
     return _finish(records, report, path)
 
 
@@ -110,44 +116,33 @@ def parse_generic(path, column_spec=None, behavior_map=None, report=None):
         report = ParseReport()
     records = []
     need = max(spec.user, spec.item, spec.behavior, spec.timestamp) + 1
-    try:
-        fh = open(path, encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and spec.has_header:
-                continue
-            if not line:
-                continue
-            report.n_lines += 1
-            parts = line.split(spec.delimiter)
-            if len(parts) < need:
-                report.malformed.append((lineno, f"expected >= {need} fields, got {len(parts)}"))
-                continue
-            label = parts[spec.behavior]
-            if behavior_map is not None:
-                if label not in behavior_map:
-                    raise FormatError(f"{path}:{lineno}: unknown behavior label {label!r}")
-                behavior = int(behavior_map[label])
-            else:
-                try:
-                    behavior = int(label)
-                except ValueError:
-                    report.malformed.append((lineno, f"non-integer behavior {label!r}"))
-                    continue
+    for lineno, line in _lines(path, report, skip_first=spec.has_header):
+        parts = line.split(spec.delimiter)
+        if len(parts) < need:
+            report.malformed.append((lineno, f"expected >= {need} fields, got {len(parts)}"))
+            continue
+        label = parts[spec.behavior]
+        if behavior_map is not None:
+            if label not in behavior_map:
+                raise FormatError(f"{path}:{lineno}: unknown behavior label {label!r}")
+            behavior = int(behavior_map[label])
+        else:
             try:
-                ts = int(parts[spec.timestamp]) * spec.timestamp_unit
-            except (ValueError, OverflowError):  # overflow: a huge int times a float unit
-                report.malformed.append((lineno, "non-integer timestamp"))
+                behavior = int(label)
+            except ValueError:
+                report.malformed.append((lineno, f"non-integer behavior {label!r}"))
                 continue
-            if not 0 <= ts <= INT64_MAX or not 0 <= behavior < MAX_BEHAVIORS:
-                report.malformed.append((lineno, f"timestamp outside [0, 2^63) or behavior "
-                                                 f"outside [0, {MAX_BEHAVIORS})"))
-                continue
-            records.append(Event(user=parts[spec.user], item=parts[spec.item],
-                                 behavior=behavior, timestamp=ts))
+        try:
+            ts = int(parts[spec.timestamp]) * spec.timestamp_unit
+        except (ValueError, OverflowError):  # overflow: a huge int times a float unit
+            report.malformed.append((lineno, "non-integer timestamp"))
+            continue
+        if not 0 <= ts <= INT64_MAX or not 0 <= behavior < MAX_BEHAVIORS:
+            report.malformed.append((lineno, f"timestamp outside [0, 2^63) or behavior "
+                                             f"outside [0, {MAX_BEHAVIORS})"))
+            continue
+        records.append(Event(user=parts[spec.user], item=parts[spec.item],
+                             behavior=behavior, timestamp=ts))
     return _finish(records, report, path)
 
 

@@ -167,8 +167,10 @@ def _check_values(path, kind, meta, arrs):
             raise SnapshotError(f"{path}: meta.corpus counts must be non-negative ints")
         sizes = {"u": c["n_users"], "o": c["n_users"] + 1, "i": c["n_items"], "b": c["n_behaviors"]}
         for key, n in (("user_ids", c["n_users"]), ("item_ids", c["n_items"])):
-            if not isinstance(c[key], list) or len(c[key]) != n:
-                raise SnapshotError(f"{path}: meta.corpus.{key} must list {n} ids")
+            ids = c[key]  # predict looks users up by their id string
+            if not (isinstance(ids, list) and len(ids) == n
+                    and all(type(x) is str for x in ids) and len(set(ids)) == n):
+                raise SnapshotError(f"{path}: meta.corpus.{key} must list {n} distinct string ids")
     for name in KIND_ARRAYS[kind] + (CORPUS_ARRAYS if c is not None else ()):
         shape, letters = arrs[name].shape, SHAPES[name]
         if len(shape) != len(letters) or any(
@@ -222,7 +224,7 @@ def load_snapshot(path):
         nbytes = math.prod(shape) * dtype.itemsize
         if off + nbytes > len(blob):
             raise SnapshotError(f"{path}: truncated array {name}")
-        arrs[name] = np.frombuffer(blob[off:off + nbytes], dtype=dtype).reshape(shape).copy()
+        arrs[name] = np.frombuffer(blob, dtype, math.prod(shape), off).reshape(shape).copy()
         off += nbytes
     if off != len(blob):
         raise SnapshotError(f"{path}: file has {len(blob)} bytes, its header describes {off}")

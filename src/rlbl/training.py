@@ -10,11 +10,11 @@ where Theta collects the tensors a pair touches (u_u, r_v, r_v', the target
 behavior matrix, W, the full transition stack and u0). One function,
 :func:`group_gradients`, gives the pair losses and the gradient of the sum:
 closed-form at the output layer (:func:`output_gradients`, the one place
-that scores the pairs and sums their lambda norms), then one BPTT sweep
-down the chain h_k -> h_{k-n} -> ... -> u0. The SGD step uses it, and the
-central finite-difference oracle (:func:`gradient_check`) differences the
-pair losses that :func:`output_gradients` returns, the loss the step
-reports.
+that scores the pairs, all negatives as one stacked product, and sums their
+lambda norms), then one BPTT sweep down the chain h_k -> h_{k-n} -> ... ->
+u0. The SGD step uses it, and the central finite-difference oracle
+(:func:`gradient_check`) differences the pair losses that
+:func:`output_gradients` returns, the loss the step reports.
 
 Both model kinds share this module through their window-matrix provider
 (see rlbl.model): the "transition stack" is ``params.trans``, and each
@@ -113,21 +113,26 @@ class GradientBundle:
         return cls(W=np.zeros_like(params.W), trans=np.zeros_like(params.trans),
                    M=np.zeros_like(params.M), u0=np.zeros_like(params.u0))
 
+    def rows(self, name):
+        """(indices, stacked rows) of "user_vecs" or "item_vecs", in insertion order."""
+        rows = self.user_rows if name == "user_vecs" else self.item_rows
+        return np.fromiter(rows, np.intp, len(rows)), np.array(list(rows.values()))
+
     def clip(self, max_norm):
-        """Rescale the whole bundle to global L2 norm max_norm if it is larger."""
-        sq = 0.0
-        for g in (*self.user_rows.values(), *self.item_rows.values(),
-                  self.W, self.trans, self.M, self.u0):
-            sq += float(np.sum(g * g))
-        norm = math.sqrt(sq)
+        """Rescale the bundle to global L2 norm max_norm if it is larger; return the
+        norm before clipping. The squared norms (rows, then dense tensors) are
+        added one at a time by a cumulative sum, where np.sum would pair them."""
+        sq = [np.sum(g * g, axis=1) for _, g in map(self.rows, ("user_vecs", "item_vecs"))]
+        sq.append([np.sum(g * g) for g in (self.W, self.trans, self.M, self.u0)])
+        norm = math.sqrt(np.cumsum(np.concatenate(sq))[-1])
         if norm > max_norm:
             self.scale(max_norm / norm)
-        return self
+        return norm
 
     def scale(self, alpha):
-        for rows in (self.user_rows, self.item_rows):
-            for k in rows:
-                rows[k] = rows[k] * alpha
+        for name, rows in (("user_vecs", self.user_rows), ("item_vecs", self.item_rows)):
+            idx, G = self.rows(name)
+            rows.update(zip(idx.tolist(), G * alpha))
         for arr in (self.W, self.trans, self.M, self.u0):
             arr *= alpha
         return self
@@ -143,12 +148,12 @@ class EpochReport:
 
 
 def bpr_pair_loss(y_pos, y_neg, reg=0.0):
-    """Softplus of the negated margin plus a regularization term.
+    """Softplus of the negated margin plus a regularization term, elementwise.
 
     Numerically stable for any margin: ln(1 + e^{-m}) is computed as
     logaddexp(0, -m).
     """
-    return float(np.logaddexp(0.0, -(y_pos - y_neg)) + reg)
+    return np.logaddexp(0.0, -(y_pos - y_neg)) + reg
 
 
 def sample_negative(n_items, pos_item, rng):
@@ -162,45 +167,42 @@ def sample_negative(n_items, pos_item, rng):
 def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
     """Pair losses and closed-form gradients of a group at the output layer.
 
-    Returns (pair losses, bundle, dJ/dh_k). The pairs share user, context
-    state h_k, target behavior and positive item, so (h_k + u_u) M_b, y_pos
-    and the lambda norms are computed once. A pair's loss is its BPR term
-    plus (lambda/2) times the squared norms it regularizes: its u_u, r_v and
-    r_v' fully, and the densely-shared tensors discounted by
-    ``shared_scale`` (see sgd_epoch). Each pair adds its u_u, r_v, r_v' and
-    M_b gradients, with their lambda terms, to its own rows of the one
-    bundle; dJ/dh_k is the sum over the pairs and carries no lambda term.
+    Returns (pair loss array, bundle, dJ/dh_k). The pairs share user, h_k,
+    target behavior and positive item, so (h_k + u_u) M_b, y_pos and the
+    shared lambda norms are computed once; the negatives' vectors R go
+    through as one stacked product. A pair's loss is its BPR term plus
+    (lambda/2) times the squared norms it regularizes: its u_u, r_v and r_v'
+    fully, and the densely-shared tensors discounted by ``shared_scale``
+    (see sgd_epoch). The u_u, r_v, M_b gradients (with lambda terms) and
+    dJ/dh_k (without) are pair sums; negatives add their rows in pair order.
     """
     uid, b, v = insts[0].user_id, insts[0].behavior, insts[0].pos_item
     u, Mb, r_pos = params.user_vecs[uid], params.M[b], params.item_vecs[v]
+    negs = [inst.neg_item for inst in insts]
+    R = params.item_vecs[negs]
     s = h_k + u
     proj = s @ Mb
     y_pos = float(proj @ r_pos)
+    y_neg = np.matmul(R[:, None], proj[:, None])[:, 0, 0]
+    reg = 0.0
     if lam:
-        pos_sq = np.sum(u ** 2) + np.sum(r_pos ** 2)
         shared = shared_scale * (np.sum(Mb ** 2) + np.sum(params.W ** 2)
                                  + np.sum(params.trans ** 2) + np.sum(params.u0 ** 2))
+        reg = 0.5 * lam * (np.sum(u ** 2) + np.sum(r_pos ** 2) + np.sum(R ** 2, axis=1) + shared)
+    losses = bpr_pair_loss(y_pos, y_neg, reg)
+    sig = expit(-(y_pos - y_neg))  # l/(1+l) with l = exp(-(y_pos - y_neg))
+    D = R - r_pos
+    d_s = sig[:, None] * np.matmul(Mb, D[:, :, None])[:, :, 0]  # through s = h + u_u
+    d_proj = sig[:, None] * (Mb.T @ s)
+    g_pos, g_neg = (-d_proj + lam * r_pos, d_proj + lam * R) if lam else (-d_proj, d_proj)
     bundle = GradientBundle.zeros_like(params)
-    losses, dJ_dh = [], None
-    for inst in insts:
-        r_neg = params.item_vecs[inst.neg_item]
-        y_neg = float(proj @ r_neg)
-        reg = 0.5 * lam * float(pos_sq + np.sum(r_neg ** 2) + shared) if lam else 0.0
-        losses.append(bpr_pair_loss(y_pos, y_neg, reg))
-        sig = float(expit(-(y_pos - y_neg)))  # l/(1+l) with l = exp(-(y_pos - y_neg))
-        diff = r_neg - r_pos
-        d_s = sig * (Mb @ diff)        # gradient through s = h + u_u
-        d_proj = sig * (Mb.T @ s)
-        g_pos, g_neg = -d_proj, d_proj
-        if lam:
-            g_pos = g_pos + lam * r_pos
-            g_neg = g_neg + lam * r_neg
-        _add_row(bundle.user_rows, uid, d_s + lam * u)
-        _add_row(bundle.item_rows, v, g_pos)
-        _add_row(bundle.item_rows, inst.neg_item, g_neg)
-        bundle.M[b] += sig * np.outer(s, diff) + shared_scale * lam * Mb
-        dJ_dh = d_s if dJ_dh is None else dJ_dh + d_s
-    return losses, bundle, dJ_dh
+    bundle.user_rows[uid] = np.sum(d_s + lam * u, axis=0)
+    bundle.item_rows[v] = np.sum(g_pos, axis=0)
+    for neg, g in zip(negs, g_neg):
+        _add_row(bundle.item_rows, neg, g)
+    bundle.M[b] += np.sum(sig[:, None, None] * (s[:, None] * D[:, None, :])
+                          + shared_scale * lam * Mb, axis=0)
+    return losses, bundle, np.sum(d_s, axis=0)
 
 
 def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
@@ -245,10 +247,9 @@ def group_gradients(params, seq, insts, cfg, shared_scale=1.0):
     path = hidden_path(params, seq, k)
     losses, bundle, dJ_dh = output_gradients(params, path[1][0], insts, lam=cfg.lam,
                                              shared_scale=shared_scale)
-    for loss in losses:
-        if not math.isfinite(loss):
-            raise NumericError(
-                f"non-finite loss {loss} at user {insts[0].user_id} position {k}")
+    if not np.isfinite(losses).all():
+        bad = losses[~np.isfinite(losses)][0]
+        raise NumericError(f"non-finite loss {bad} at user {insts[0].user_id} position {k}")
     bptt_backward(params, seq, path, dJ_dh, bundle, truncation=cfg.bptt_truncation)
     lam = cfg.lam * shared_scale * len(insts)
     if lam:
@@ -264,10 +265,9 @@ def _train_group(params, seq, insts, cfg, shared_scale, eta):
     losses, bundle = group_gradients(params, seq, insts, cfg, shared_scale)
     if cfg.clip_norm is not None:
         bundle.clip(cfg.clip_norm)
-    for i, g in bundle.user_rows.items():
-        params.user_vecs[i] -= eta * g
-    for i, g in bundle.item_rows.items():
-        params.item_vecs[i] -= eta * g
+    for name in ("user_vecs", "item_vecs"):
+        idx, G = bundle.rows(name)
+        getattr(params, name)[idx] -= eta * G
     params.W -= eta * bundle.W
     params.trans[...] -= eta * bundle.trans
     if cfg.train_behavior_mats:
@@ -343,13 +343,12 @@ class GradCheckReport:
 
 def _dense(params, bundle, name):
     """(dense gradient of one tensor, its sorted touched rows or None)."""
-    rows = {"user_vecs": bundle.user_rows, "item_vecs": bundle.item_rows}.get(name)
-    if rows is None:
+    if name not in ("user_vecs", "item_vecs"):
         return getattr(bundle, name), None
+    idx, G = bundle.rows(name)
     dense = np.zeros_like(getattr(params, name))
-    for i, g in rows.items():
-        dense[i] = g
-    return dense, sorted(rows)
+    dense[idx] = G
+    return dense, sorted(idx.tolist())
 
 
 def _check_coords(arr, rows, min_coords, rng):

@@ -181,6 +181,10 @@ def _rename(header, name):
     _spec(header, name)["name"] = "renamed"
 
 
+def _set_id(header, key, index, value):
+    header["meta"]["corpus"][key][index] = value
+
+
 MALFORMED = {
     "header is a list": None,
     "no kind": lambda h: h.pop("kind"),
@@ -204,6 +208,11 @@ MALFORMED = {
     "n_users past the corpus": lambda h: h["meta"]["corpus"].update(n_users=50),
     "n_behaviors disagrees with M": lambda h: h["meta"]["corpus"].update(n_behaviors=2),
     "user_ids too short": lambda h: h["meta"]["corpus"]["user_ids"].pop(),
+    # predict finds a user by id string: a repeat shadows a user, an int never matches
+    "user_ids repeat": lambda h: _set_id(h, "user_ids", 1, h["meta"]["corpus"]["user_ids"][0]),
+    "user_ids are ints": lambda h: h["meta"]["corpus"].update(
+        user_ids=list(range(len(h["meta"]["corpus"]["user_ids"])))),
+    "item_ids repeat": lambda h: _set_id(h, "item_ids", 2, h["meta"]["corpus"]["item_ids"][0]),
     "W is 2 x 8": lambda h: _spec(h, "W").update(shape=[2, 8]),
     "float timestamps": lambda h: _spec(h, "corpus_timestamps").update(dtype="float64"),
     "bin_width is a string": lambda h: h["meta"].update(bin_width="3600"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rlbl.data import Event, build_corpus
 from rlbl.model import hidden_path, init_rlbl_params
@@ -355,6 +356,127 @@ def test_config_validation():
         with pytest.raises(ValueError):
             TrainConfig(**{key: math.nan})
     TrainConfig(epochs=0, bptt_truncation=0)
+
+
+# --- the stacked output layer and the bundle's row view ----------------------
+
+def per_pair_output_gradients(params, h_k, insts, lam, shared_scale):
+    """The output layer one pair at a time, every sum in pair order: the
+    reference that the stacked output_gradients must match bit for bit."""
+    def add_row(rows, idx, g):
+        rows[idx] = rows[idx] + g if idx in rows else np.array(g)
+
+    uid, b, v = insts[0].user_id, insts[0].behavior, insts[0].pos_item
+    u, Mb, r_pos = params.user_vecs[uid], params.M[b], params.item_vecs[v]
+    s = h_k + u
+    proj = s @ Mb
+    y_pos = float(proj @ r_pos)
+    pos_sq = np.sum(u ** 2) + np.sum(r_pos ** 2)
+    shared = shared_scale * (np.sum(Mb ** 2) + np.sum(params.W ** 2)
+                             + np.sum(params.trans ** 2) + np.sum(params.u0 ** 2))
+    bundle = GradientBundle.zeros_like(params)
+    losses, dJ_dh = [], None
+    for inst in insts:
+        r_neg = params.item_vecs[inst.neg_item]
+        y_neg = float(proj @ r_neg)
+        reg = 0.5 * lam * float(pos_sq + np.sum(r_neg ** 2) + shared) if lam else 0.0
+        losses.append(float(np.logaddexp(0.0, -(y_pos - y_neg)) + reg))
+        sig = float(expit(-(y_pos - y_neg)))
+        diff = r_neg - r_pos
+        d_s = sig * (Mb @ diff)
+        d_proj = sig * (Mb.T @ s)
+        g_pos, g_neg = -d_proj, d_proj
+        if lam:
+            g_pos = g_pos + lam * r_pos
+            g_neg = g_neg + lam * r_neg
+        add_row(bundle.user_rows, uid, d_s + lam * u)
+        add_row(bundle.item_rows, v, g_pos)
+        add_row(bundle.item_rows, inst.neg_item, g_neg)
+        bundle.M[b] += sig * np.outer(s, diff) + shared_scale * lam * Mb
+        dJ_dh = d_s if dJ_dh is None else dJ_dh + d_s
+    return losses, bundle, dJ_dh
+
+
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("lam, shared_scale", [(0.0, 1.0), (0.01, 1.0), (0.01, 1 / 137)])
+def test_output_gradients_match_the_per_pair_loop(ta, lam, shared_scale):
+    c = tiny_corpus(n_items=30, length=20, seed=22)
+    p = tiny_params(c, d=8, ta=ta, seed=22)
+    rng = np.random.default_rng(22)
+    p.user_vecs[...] = rng.normal(size=p.user_vecs.shape)
+    p.item_vecs[...] = rng.normal(size=p.item_vecs.shape)
+    seq = c.sequences[1]
+    for m in range(1, 10):
+        k = int(rng.integers(1, len(seq)))
+        pos = int(seq.items[k])
+        negs = [sample_negative(c.n_items, pos, rng) for _ in range(m)]
+        if m >= 3:
+            negs[-2] = negs[0]  # a negative drawn twice
+        insts = [TrainingInstance(1, k, int(seq.behaviors[k]), pos, v) for v in negs]
+        h = hidden_path(p, seq, k)[1][0]
+        losses, got, dh = output_gradients(p, h, insts, lam=lam, shared_scale=shared_scale)
+        want_losses, want, want_dh = per_pair_output_gradients(p, h, insts, lam, shared_scale)
+        assert np.array_equal(losses, want_losses)
+        assert np.array_equal(dh, want_dh)
+        for name in ("W", "trans", "M", "u0"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("user_rows", "item_rows"):
+            rows, want_rows = getattr(got, name), getattr(want, name)
+            assert list(rows) == list(want_rows), name  # insertion order
+            assert all(np.array_equal(rows[i], want_rows[i]) for i in rows), name
+
+
+def random_bundle(seed, d=16, n_items=40):
+    """A bundle of 12 rows, their magnitudes spread over six decades."""
+    r = np.random.default_rng(seed)
+    return GradientBundle(
+        user_rows={3: r.normal(size=d)},
+        item_rows={int(i): r.normal(size=d) * 10.0 ** int(r.integers(-3, 3))
+                   for i in r.permutation(n_items)[:11]},
+        W=r.normal(size=(d, d)), trans=r.normal(size=(3, d, d)),
+        M=r.normal(size=(2, d, d)), u0=r.normal(size=d))
+
+
+def bundle_tensors(b):
+    return [*b.user_rows.values(), *b.item_rows.values(), b.W, b.trans, b.M, b.u0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_clip_returns_the_sequential_norm(seed):
+    b = random_bundle(seed)
+    sq = 0.0
+    for g in bundle_tensors(b):  # one row or tensor at a time, in bundle order
+        sq += float(np.sum(g * g))
+    norm = math.sqrt(sq)
+    assert b.clip(2.0 * norm) == norm
+    for g, ref in zip(bundle_tensors(b), bundle_tensors(random_bundle(seed))):
+        assert np.array_equal(g, ref)  # below max_norm the bundle is untouched
+    assert b.clip(0.25 * norm) == norm
+    alpha = 0.25 * norm / norm
+    for g, ref in zip(bundle_tensors(b), bundle_tensors(random_bundle(seed))):
+        assert np.array_equal(g, ref * alpha)
+    assert b.clip(math.inf) == pytest.approx(0.25 * norm, rel=1e-12)
+
+
+def test_bundle_rows_are_the_sparse_rows_in_insertion_order():
+    b = random_bundle(6)
+    for name, rows in (("user_vecs", b.user_rows), ("item_vecs", b.item_rows)):
+        idx, G = b.rows(name)
+        assert idx.tolist() == list(rows)
+        assert np.array_equal(G, np.array(list(rows.values())))
+
+
+def test_nan_in_one_negative_raises_naming_the_position():
+    c = tiny_corpus(n_items=30, seed=24)
+    p = tiny_params(c, seed=24)
+    seq, k = c.sequences[0], 6
+    pos = int(seq.items[k])
+    negs = [v for v in range(c.n_items) if v != pos and v not in seq.items[:k]][:3]
+    p.item_vecs[negs[1]] = np.nan
+    group = [TrainingInstance(0, k, int(seq.behaviors[k]), pos, v) for v in negs]
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=f"^non-finite loss nan at user 0 position {k}$"):
+        group_gradients(p, seq, group, TrainConfig(lam=0.01))
 
 
 def test_bundle_scale():
