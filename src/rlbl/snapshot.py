@@ -17,6 +17,7 @@ user-sorted event arrays and offsets that Corpus.from_arrays reads.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -197,37 +198,38 @@ def _check_values(path, kind, meta, arrs):
 def load_snapshot(path):
     """Read a snapshot; returns (kind, model, corpus-or-None).
 
-    Anything malformed, truncated or incomplete raises SnapshotError.
+    Each array is read from the file straight into its own buffer, so no
+    copy of the whole file is made. Anything malformed, truncated or
+    incomplete raises SnapshotError.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            if fh.read(len(MAGIC)) != MAGIC:
+                raise SnapshotError(f"{path}: not a snapshot file")
+            hlen = int.from_bytes(fh.read(8), "little")
+            off = len(MAGIC) + 8 + hlen
+            try:
+                header = json.loads(fh.read(min(hlen, size)).decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SnapshotError(f"{path}: corrupt header: {exc}") from exc
+            _require(path, "header", header, ("kind", "meta", "arrays"))
+            if not isinstance(header["arrays"], list):
+                raise SnapshotError(f"{path}: header arrays is not a list")
+            arrs = {}
+            for spec in header["arrays"]:
+                name, dtype, shape = _array_spec(path, spec)
+                nbytes = math.prod(shape) * dtype.itemsize
+                if off + nbytes > size:
+                    raise SnapshotError(f"{path}: truncated array {name}")
+                arrs[name] = a = np.empty(shape, dtype)
+                if fh.readinto(a.reshape(-1).view(np.uint8)) != nbytes:  # the file shrank
+                    raise SnapshotError(f"{path}: truncated array {name}")
+                off += nbytes
     except OSError as exc:
         raise SnapshotError(f"cannot read {path}: {exc}") from exc
-    if blob[: len(MAGIC)] != MAGIC:
-        raise SnapshotError(f"{path}: not a snapshot file")
-    off = len(MAGIC)
-    hlen = int.from_bytes(blob[off:off + 8], "little")
-    off += 8
-    try:
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"{path}: corrupt header: {exc}") from exc
-    off += hlen
-    _require(path, "header", header, ("kind", "meta", "arrays"))
-    if not isinstance(header["arrays"], list):
-        raise SnapshotError(f"{path}: header arrays is not a list")
-
-    arrs = {}
-    for spec in header["arrays"]:
-        name, dtype, shape = _array_spec(path, spec)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if off + nbytes > len(blob):
-            raise SnapshotError(f"{path}: truncated array {name}")
-        arrs[name] = np.frombuffer(blob, dtype, math.prod(shape), off).reshape(shape).copy()
-        off += nbytes
-    if off != len(blob):
-        raise SnapshotError(f"{path}: file has {len(blob)} bytes, its header describes {off}")
+    if off != size:
+        raise SnapshotError(f"{path}: file has {size} bytes, its header describes {off}")
 
     kind = header["kind"]
     meta = header["meta"]

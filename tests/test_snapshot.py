@@ -121,6 +121,28 @@ def test_truncated_file(tmp_path):
         load_snapshot(f)
 
 
+def test_file_that_shrinks_while_read_is_snapshot_error(tmp_path, monkeypatch):
+    # the size taken when the file is opened still covers the last array,
+    # so only the short read itself can catch it
+    f = tmp_path / "m.snap"
+    save_snapshot(f, init_rlbl_params(3, 5, 2, d=4, n=2, seed=5))
+    n = f.stat().st_size
+    f.write_bytes(f.read_bytes()[: n - 16])
+    monkeypatch.setattr("rlbl.snapshot.os.fstat", lambda fd: type("St", (), {"st_size": n}))
+    with pytest.raises(SnapshotError, match="truncated array u0"):
+        load_snapshot(f)
+
+
+def test_loaded_arrays_are_aligned_writeable_and_own_their_memory(tmp_path):
+    f = tmp_path / "m.snap"
+    c = small_corpus()
+    save_snapshot(f, init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=4, n=2, seed=5), corpus=c)
+    _, params, corpus = load_snapshot(f)
+    for a in (params.user_vecs, params.item_vecs, params.W, params.C, params.M, params.u0,
+              corpus.train_end, corpus.valid_end):
+        assert a.flags.aligned and a.flags.writeable and a.flags.owndata
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(SnapshotError):
         load_snapshot(tmp_path / "nope.snap")
