@@ -235,7 +235,8 @@ def cmd_train(cfg):
     rng = np.random.default_rng(tcfg.rng_seed)
     patience = cfg["train"]["patience"]
     best_map, best_params, since_best = -1.0, copy.deepcopy(params), 0
-    log_lines = ["epoch\tmean_loss\twall_time\tmean_step\tvalid_map"]
+    log_lines = ["epoch\tmean_loss\twall_time\tmean_step\tvalid_map\t"
+                 "grad_norm_p50\tgrad_norm_max\tclip_fraction"]
 
     for epoch in range(tcfg.epochs):
         rep = training.sgd_epoch(params, corpus, tcfg, rng, epoch=epoch)
@@ -243,8 +244,11 @@ def cmd_train(cfg):
             valid_map = evaluation.evaluate(scoring.scorer_for(params), corpus, vcfg).map
         except evaluation.EmptyEval:
             valid_map = float("nan")
+        clipping = [math.nan if x is None else x
+                    for x in (rep.grad_norm_p50, rep.grad_norm_max, rep.clip_fraction)]
         log_lines.append(f"{epoch}\t{rep.mean_loss:.6f}\t{rep.wall_time:.3f}\t"
-                         f"{rep.mean_step_size:.6g}\t{valid_map:.6f}")
+                         f"{rep.mean_step_size:.6g}\t{valid_map:.6f}\t"
+                         + "\t".join(f"{x:.6g}" for x in clipping))
         print(log_lines[-1])
         if np.isnan(valid_map) or valid_map > best_map:
             best_map = -1.0 if np.isnan(valid_map) else valid_map

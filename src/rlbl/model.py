@@ -124,6 +124,16 @@ def _matvecs(A, Z):
     return np.matmul(A, Z[:, :, None])[:, :, 0]
 
 
+def fold_rows(table):
+    """Sum a table's rows top to bottom, with the bits of adding them one at
+    a time. np.add.reduce over the outer axis adds row by row onto its
+    initial value (-0.0, so that a sum of -0.0s keeps its sign), but sums a
+    lone axis pairwise, so a table of single numbers is accumulated instead."""
+    if table.size > len(table):
+        return np.add.reduce(table, axis=0, initial=-0.0)
+    return np.add.accumulate(table, axis=0)[-1]
+
+
 def prefix_products(params, seq, upto):
     """Z[j] = M_b r_v of the event at 1-based position j+1, for j < upto."""
     return _matvecs(params.M[seq.behaviors[:upto]], params.item_vecs[seq.items[:upto]])
@@ -163,17 +173,19 @@ def hidden_path(params, seq, k):
     _check_position(seq, k)
     chain = list(range(k, 0, -params.n))
     Z, layers = prefix_products(params, seq, k), np.array(chain, dtype=np.int64)
-    wins = []
+    # layer r adds up row r of T: W h_prev, then the window terms in offset
+    # order; the grounding layer's missing terms are -0.0 (x + -0.0 == x)
+    wins, T = [], np.full((len(chain), min(params.n, k) + 1, params.d), -0.0)
     for i in range(min(params.n, k)):
         ps = layers[layers > i]
         stack, split = params.windows(seq, ps, i)
-        wins.append((stack, split, _matvecs(stack, Z[ps - i - 1])))
-    states = [params.u0]
-    for depth in range(len(chain) - 1, -1, -1):
-        h = params.W @ states[-1]
-        for _, _, terms in wins[:chain[depth]]:
-            h += terms[depth]
-        states.append(h)
+        terms = _matvecs(stack, Z[ps - i - 1])
+        wins.append((stack, split, terms))
+        T[:len(ps), i + 1] = terms
+    W, states = params.W, [params.u0]
+    for row in T[::-1]:
+        np.matmul(W, states[-1], out=row[0])
+        states.append(fold_rows(row))
     return chain + [0], states[::-1], (Z, wins)
 
 

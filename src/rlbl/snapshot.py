@@ -86,13 +86,18 @@ def _corpus_payload(corpus):
         "user_ids": [str(x) for x in corpus.user_ids],
         "item_ids": [str(x) for x in corpus.item_ids],
     }
+    for key in ("user_ids", "item_ids"):  # the reader looks ids up by string
+        if len(set(meta[key])) != len(meta[key]):
+            raise SnapshotError(f"corpus {key} collide as strings; a snapshot could not be read back")
     arrays = list(zip(CORPUS_ARRAYS, (offsets, items, behaviors, timestamps,
                                       corpus.train_end, corpus.valid_end)))
     return meta, arrays
 
 
 def save_snapshot(path, params, corpus=None):
-    """Write a model (and optionally its corpus) to a snapshot file."""
+    """Write a model (and optionally its corpus) to a snapshot file. Raises
+    SnapshotError, before the file is opened, for what load_snapshot would
+    refuse."""
     kind, meta, arrays = _model_payload(params)
     meta = dict(meta)
     if corpus is not None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from rlbl.model import NumericError, hidden_path
+from rlbl.model import NumericError, fold_rows, hidden_path
 
 
 class SamplingError(ValueError):
@@ -86,10 +86,47 @@ class TrainingInstance:
     neg_item: int
 
 
-def _add_row(rows, idx, g):
-    """Accumulate g into the sparse row dict at idx (insertion-ordered)."""
-    idx = int(idx)
-    rows[idx] = rows[idx] + g if idx in rows else np.array(g)
+# np.add.at adds one element at a time, about 5 ns each, with little
+# start-up; a table fold starts in about 10 us and then adds about five times
+# faster.
+_ADD_AT_MAX = 2048
+# bptt_backward scatters the window items' terms this many items at a time,
+# which bounds the size of its temporary arrays
+_BLOCK_ITEMS = 256
+
+
+def _ordered_add(acc, idx, vals):
+    """acc[idx[r]] += vals[r] for r = 0, 1, ... in turn, with the bits of that
+    loop.
+
+    np.add.at does exactly that. For larger scatters, each index's terms fill,
+    in order, a column of a table under the index's current value, padded
+    with -0.0 (x + -0.0 == x for every x), and fold_rows adds the table's
+    rows top to bottom: the same sums, vectorised.
+    """
+    if vals.size <= _ADD_AT_MAX:
+        np.add.at(acc, idx, vals)
+        return
+    keys, col, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    row = np.empty(len(col), np.intp)  # 1 + the number of earlier terms of the index
+    row[np.argsort(col, kind="stable")] = np.arange(1, len(col) + 1) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    table = np.full((counts.max() + 1, len(keys)) + acc.shape[1:], -0.0)
+    table[0] = acc[keys]
+    table[row, col] = vals
+    acc[keys] = fold_rows(table)
+
+
+def _scatter_rows(rows, idx, G):
+    """Add each row G[r] into the sparse row dict at the int idx[r], in order
+    of r. An index new to the dict is inserted at its first appearance and
+    starts from -0.0, so its first add is an exact copy of the row."""
+    keys = list(dict.fromkeys(idx))
+    col = {key: c for c, key in enumerate(keys)}
+    new = np.full(G.shape[1], -0.0)
+    acc = np.array([rows.get(key, new) for key in keys])
+    _ordered_add(acc, [col[key] for key in idx], G)
+    rows.update(zip(keys, acc))
 
 
 @dataclass
@@ -145,6 +182,11 @@ class EpochReport:
     n_skipped: int  # always 0: every step is taken
     mean_step_size: float
     wall_time: float
+    # the steps' gradient norms before clipping, and the share of steps
+    # clipped; None when clip_norm is None (no norm is computed)
+    grad_norm_p50: float | None = None
+    grad_norm_max: float | None = None
+    clip_fraction: float | None = None
 
 
 def bpr_pair_loss(y_pos, y_neg, reg=0.0):
@@ -198,8 +240,7 @@ def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
     bundle = GradientBundle.zeros_like(params)
     bundle.user_rows[uid] = np.sum(d_s + lam * u, axis=0)
     bundle.item_rows[v] = np.sum(g_pos, axis=0)
-    for neg, g in zip(negs, g_neg):
-        _add_row(bundle.item_rows, neg, g)
+    _scatter_rows(bundle.item_rows, negs, g_neg)
     bundle.M[b] += np.sum(sig[:, None, None] * (s[:, None] * D[:, None, :])
                           + shared_scale * lam * Mb, axis=0)
     return losses, bundle, np.sum(d_s, axis=0)
@@ -209,31 +250,59 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     """Propagate dJ/dh_k down the chain k, k-n, ..., accumulating into bundle.
 
     ``path`` is the forward pass from hidden_path, whose stacks give each
-    window term's A, its split and M r. At each layer the window items
-    receive M^T A^T g, the transition matrices g (M r)^T (split over the two
-    boundary matrices for TA-RLBL), the window behavior matrices A^T g r^T,
-    and W picks up g h_prev^T. The chain grounds at u0 with dJ/du0 = W^T g
-    of the deepest layer.
+    window term's A, its split and M r. With g_t the gradient at chain depth
+    t (g_{t+1} = W^T g_t), the window item of offset i at depth t receives
+    M^T A^T g_t, the transition matrices g_t (M r)^T (split over the two
+    boundary matrices for TA-RLBL), its behavior matrix A^T g_t r^T, and W
+    picks up g_t h_{t+1}^T. The chain grounds at u0 with dJ/du0 = W^T g of
+    the deepest layer.
+
+    One sweep for all depths: A^T g for each offset is one stacked product
+    over the chain, and each accumulator gets one ordered scatter of its
+    terms listed depth by depth, offsets in order within a depth, so the
+    sums have the bits of adding one window item at a time.
     """
     positions, states, (Z, wins) = path
-    wins = [(stack, *(a.tolist() for a in split)) for stack, split, _ in wins]
-    g = np.array(dJ_dh)
-    for depth, p in enumerate(positions[:-1]):  # the final entry is layer 0
-        if truncation is not None and depth >= truncation:
-            return bundle
-        for i, (stack, lo, hi, w_lo, w_hi) in enumerate(wins[:p]):
-            j = p - i - 1  # the window event, 0-based
-            v, b = int(seq.items[j]), int(seq.behaviors[j])
-            Atg = stack[depth].T @ g
-            _add_row(bundle.item_rows, v, params.M[b].T @ Atg)
-            GA = np.outer(g, Z[j])
-            bundle.trans[lo[depth]] += w_lo[depth] * GA
-            if hi[depth] != lo[depth]:
-                bundle.trans[hi[depth]] += w_hi[depth] * GA
-            bundle.M[b] += np.outer(Atg, params.item_vecs[v])
-        bundle.W += np.outer(g, states[depth + 1])
-        g = params.W.T @ g
-    bundle.u0 += g
+    depth = len(positions) - 1  # the final entry is layer 0
+    grounded = truncation is None or truncation >= depth
+    depth = depth if grounded else truncation
+    gs, Wt = [np.array(dJ_dh)], params.W.T
+    for _ in range(depth):
+        gs.append(Wt @ gs[-1])
+    if grounded:
+        bundle.u0 += gs[depth]
+    if not depth:
+        return bundle
+    G = np.array(gs[:depth])
+    _ordered_add(bundle.W[None], np.zeros(depth, np.intp),
+                 G[:, :, None] * np.array(states[1:depth + 1])[:, None, :])
+    # (depth, offset) tables of A^T g and of each term's trans entries (lo,
+    # hi) and weights; valid where the layer reaches back past the offset
+    n_off = len(wins)
+    Atg = np.empty((depth, n_off, params.d))
+    ids, wts = np.zeros((2, depth, n_off), np.intp), np.zeros((2, depth, n_off))
+    valid = np.zeros((depth, n_off), bool)
+    for i, (stack, (lo, hi, w_lo, w_hi), _) in enumerate(wins):
+        m = min(depth, len(stack))
+        Atg[:m, i] = np.matmul(stack[:m].transpose(0, 2, 1), G[:m, :, None])[:, :, 0]
+        ids[:, :m, i], wts[:, :m, i] = (lo[:m], hi[:m]), (w_lo[:m], w_hi[:m])
+        valid[:m, i] = True
+    t, i = np.nonzero(valid)  # depth-major, offsets in order
+    js = np.asarray(positions[:depth])[t] - i - 1  # the window events, 0-based
+    Atg, ids, wts = Atg[t, i], ids[:, t, i].T, wts[:, t, i].T
+    for s in range(0, len(t), _BLOCK_ITEMS):  # consecutive blocks keep the order
+        blk = slice(s, s + _BLOCK_ITEMS)
+        A, j = Atg[blk], js[blk]
+        v, b = seq.items[j], seq.behaviors[j]
+        _scatter_rows(bundle.item_rows, v.tolist(),
+                      np.matmul(params.M[b].transpose(0, 2, 1), A[:, :, None])[:, :, 0])
+        _ordered_add(bundle.M, b, A[:, :, None] * params.item_vecs[v][:, None, :])
+        # each term's lo entry, then its hi entry where the split blends two
+        lohi, w = ids[blk], wts[blk]
+        r, c = np.nonzero(np.stack([np.ones(len(j), bool), lohi[:, 1] != lohi[:, 0]], axis=1))
+        GA = G[t[blk][r]][:, :, None] * Z[j[r]][:, None, :]
+        GA *= w[r, c][:, None, None]
+        _ordered_add(bundle.trans, lohi[r, c], GA)
     return bundle
 
 
@@ -261,10 +330,10 @@ def group_gradients(params, seq, insts, cfg, shared_scale=1.0):
 
 def _train_group(params, seq, insts, cfg, shared_scale, eta):
     """One clipped SGD step theta <- theta - eta * g on a group; returns the
-    pre-update pair losses."""
+    pre-update pair losses and the gradient's norm before clipping (None
+    without clipping)."""
     losses, bundle = group_gradients(params, seq, insts, cfg, shared_scale)
-    if cfg.clip_norm is not None:
-        bundle.clip(cfg.clip_norm)
+    norm = None if cfg.clip_norm is None else bundle.clip(cfg.clip_norm)
     for name in ("user_vecs", "item_vecs"):
         idx, G = bundle.rows(name)
         getattr(params, name)[idx] -= eta * G
@@ -273,7 +342,7 @@ def _train_group(params, seq, insts, cfg, shared_scale, eta):
     if cfg.train_behavior_mats:
         params.M -= eta * bundle.M
     params.u0 -= eta * bundle.u0
-    return losses
+    return losses, norm
 
 
 def training_positions(corpus, user_id):
@@ -300,7 +369,7 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
     # pairwise ranking trainers.
     n_planned = sum(len(training_positions(corpus, u)) for u in users)
     shared_scale = 1.0 / max(n_planned * cfg.negatives_per_positive, 1)
-    losses = []
+    losses, norms = [], []
     for u in order:
         seq = corpus.sequences[u]
         for k in training_positions(corpus, u):
@@ -308,13 +377,21 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
             v = int(seq.items[k])
             insts = [TrainingInstance(u, k, b, v, sample_negative(corpus.n_items, v, rng))
                      for _ in range(cfg.negatives_per_positive)]
-            losses.extend(_train_group(params, seq, insts, cfg, shared_scale, eta))
+            group_losses, norm = _train_group(params, seq, insts, cfg, shared_scale, eta)
+            losses.extend(group_losses)
+            norms.append(norm)
+    telemetry = {}
+    if cfg.clip_norm is not None and norms:
+        norms = np.array(norms)
+        telemetry = dict(grad_norm_p50=float(np.median(norms)), grad_norm_max=float(norms.max()),
+                         clip_fraction=float(np.mean(norms > cfg.clip_norm)))
     return EpochReport(
         mean_loss=float(np.mean(losses)) if losses else 0.0,
         n_instances=len(losses),
         n_skipped=0,
         mean_step_size=eta if losses else 0.0,
         wall_time=time.perf_counter() - t0,
+        **telemetry,
     )
 
 

@@ -55,6 +55,10 @@ def test_train_writes_outputs(tmp_path, capsys):
     log = (out / "train_log.tsv").read_text().strip().split("\n")
     assert log[0].startswith("epoch\t")
     assert len(log) == 3  # header + 2 epochs
+    assert log[0].split("\t")[-3:] == ["grad_norm_p50", "grad_norm_max", "clip_fraction"]
+    for line in log[1:]:
+        p50, top, frac = map(float, line.split("\t")[-3:])
+        assert 0 < p50 <= top and 0 <= frac <= 1
     resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert resolved["train"]["epochs"] == 2
     assert resolved["train"]["lam"] == 0.01  # default filled in

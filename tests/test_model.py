@@ -285,6 +285,16 @@ def test_batched_forward_is_bit_identical_to_per_position_loop(kind, n):
         assert_forward_matches_reference(params, seq)
 
 
+@pytest.mark.parametrize("n", [1, 9, 12])
+def test_forward_in_one_dimension_adds_in_order(n):
+    # d = 1 makes each layer's terms a column of single numbers, which
+    # np.add.reduce would sum pairwise once there are more than eight
+    for length in (n - 1, 3 * n + 2):
+        params = random_params(d=1, n=n, seed=300 + n + length)
+        params.item_vecs *= 10.0 ** np.arange(-6, 6)[np.arange(params.n_items) % 12, None]
+        assert_forward_matches_reference(params, random_seq(params, length, seed=n + length))
+
+
 # window gaps (n = 4) on a 4-bin hourly grid: 1 h and 4 h (boundaries, the
 # second the last one), 1.5 h (mid-bin), 16000 s (past the grid), 0 (equal
 # timestamps) and an event older than the one before it (clamps to 0)

@@ -90,6 +90,22 @@ def test_corpus_roundtrip(tmp_path):
         assert np.array_equal(a.timestamps, b.timestamps)
 
 
+@pytest.mark.parametrize("key", ["user", "item"])
+def test_ids_equal_as_strings_are_refused_before_writing(tmp_path, key):
+    # build_corpus keeps raw ids as given, so 1 and "1" are two users (or
+    # items) that the snapshot, which stores ids as strings, cannot tell apart
+    events = [Event(user="x", item="a", behavior=0, timestamp=t) for t in range(4)]
+    for raw in (1, "1"):
+        ids = {"user": raw, "item": "a"} if key == "user" else {"user": "x", "item": raw}
+        events += [Event(behavior=0, timestamp=t, **ids) for t in range(4, 8)]
+    c = build_corpus(events)
+    p = init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=2, n=1, seed=0)
+    f = tmp_path / "collide.snap"
+    with pytest.raises(SnapshotError, match=f"corpus {key}_ids collide as strings"):
+        save_snapshot(f, p, corpus=c)
+    assert not f.exists()
+
+
 def test_save_is_byte_deterministic(tmp_path):
     c = small_corpus(seed=4)
     p = init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=4, n=2, seed=4)

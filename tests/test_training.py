@@ -13,7 +13,10 @@ from rlbl.training import (
     SamplingError,
     TrainConfig,
     TrainingInstance,
+    _ordered_add,
+    _scatter_rows,
     _train_group,
+    bptt_backward,
     bpr_pair_loss,
     gradient_check,
     group_gradients,
@@ -333,6 +336,38 @@ def test_epoch_report_counts():
     assert rep.mean_step_size == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("clip_norm", [None, 1e-3, 0.05, 1e6])
+def test_epoch_report_gradient_telemetry(monkeypatch, clip_norm):
+    c = tiny_corpus(n_users=3, length=10, seed=26)
+    cfg = TrainConfig(learning_rate=0.05, clip_norm=clip_norm)
+    seen, clip = [], GradientBundle.clip
+
+    def recording_clip(bundle, max_norm):
+        seen.append(clip(bundle, max_norm))
+        return seen[-1]
+
+    monkeypatch.setattr(GradientBundle, "clip", recording_clip)
+    p = tiny_params(c, seed=26)
+    rep = sgd_epoch(p, c, cfg, np.random.default_rng(0))
+    monkeypatch.undo()
+    # recording the norm leaves training as it was
+    ref = tiny_params(c, seed=26)
+    ref_rep = sgd_epoch(ref, c, cfg, np.random.default_rng(0))
+    assert rep.mean_loss == ref_rep.mean_loss
+    for name in ("user_vecs", "item_vecs", "W", "C", "M", "u0"):
+        assert np.array_equal(getattr(p, name), getattr(ref, name)), name
+    if clip_norm is None:
+        assert seen == []
+        assert rep.grad_norm_p50 is rep.grad_norm_max is rep.clip_fraction is None
+        return
+    assert len(seen) == rep.n_instances  # one step per pair at 1 negative
+    assert rep.grad_norm_p50 == np.median(seen)
+    assert rep.grad_norm_max == max(seen)
+    assert rep.clip_fraction == sum(x > clip_norm for x in seen) / len(seen)
+    if clip_norm in (1e-3, 1e6):  # every step clipped, or none
+        assert rep.clip_fraction == (clip_norm == 1e-3)
+
+
 def test_ta_training_runs_and_learns_nothing_breaks():
     c = tiny_corpus(seed=17)
     p = tiny_params(c, ta=True, seed=17)
@@ -489,3 +524,108 @@ def test_bundle_scale():
     assert np.allclose(2.0 * a.W, b.W)
     for i in a.user_rows:
         assert np.allclose(2.0 * a.user_rows[i], b.user_rows[i])
+
+
+# --- the stacked BPTT sweep ---------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ordered_add_adds_each_term_in_turn(seed):
+    # small scatters (np.add.at), large ones (table folds, more than one
+    # table), rows of single numbers, skewed keys and signed zeros
+    r = np.random.default_rng(seed)
+    shape = [(), (1,), (3,), (8,), (4, 4)][seed % 5]
+    n_keys = int(r.integers(1, 12))
+    n_terms = int(r.choice([1, 7, 300, 2500]))
+    idx = np.minimum(r.geometric(0.3, n_terms) - 1, n_keys - 1)
+    vals = r.normal(size=(n_terms, *shape)) * 10.0 ** r.integers(-8, 9, size=(n_terms, *shape))
+    vals[r.random(n_terms) < 0.1] = -0.0
+    acc = r.normal(size=(n_keys, *shape))
+    acc[r.random(n_keys) < 0.3] = -0.0
+    acc[-1], vals[idx == n_keys - 1] = -0.0, -0.0  # a sum that stays -0.0
+    want = acc.copy()
+    for i, v in zip(idx.tolist(), vals):
+        want[i] += v
+    _ordered_add(acc, idx, vals)
+    assert np.array_equal(acc, want)
+    assert np.array_equal(np.signbit(acc), np.signbit(want))
+
+
+@pytest.mark.parametrize("n_terms", [5, 400])
+def test_scatter_rows_matches_adding_row_by_row(n_terms):
+    r = np.random.default_rng(n_terms)
+    idx = r.integers(0, 30, n_terms).tolist()
+    G = r.normal(size=(n_terms, 8))
+    G[r.random(n_terms) < 0.2] = -0.0  # a new row's first add must keep its zeros' signs
+    rows = {int(k): r.normal(size=8) for k in (idx[-1], 40, idx[0])}
+    want = {k: v.copy() for k, v in rows.items()}
+    for i, g in zip(idx, G):
+        want[i] = want[i] + g if i in want else np.array(g)
+    _scatter_rows(rows, idx, G)
+    assert list(rows) == list(want)  # new rows at their first appearance
+    for i in rows:
+        assert np.array_equal(rows[i], want[i])
+        assert np.array_equal(np.signbit(rows[i]), np.signbit(want[i]))
+
+
+def per_item_bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
+    """The BPTT sweep one window item at a time, every sum in loop order: the
+    reference that the stacked bptt_backward must match bit for bit."""
+    def add_row(rows, idx, g):
+        rows[idx] = rows[idx] + g if idx in rows else np.array(g)
+
+    positions, states, (Z, wins) = path
+    wins = [(stack, *(a.tolist() for a in split)) for stack, split, _ in wins]
+    g = np.array(dJ_dh)
+    for depth, p in enumerate(positions[:-1]):
+        if truncation is not None and depth >= truncation:
+            return bundle
+        for i, (stack, lo, hi, w_lo, w_hi) in enumerate(wins[:p]):
+            j = p - i - 1
+            v, b = int(seq.items[j]), int(seq.behaviors[j])
+            Atg = stack[depth].T @ g
+            add_row(bundle.item_rows, v, params.M[b].T @ Atg)
+            GA = np.outer(g, Z[j])
+            bundle.trans[lo[depth]] += w_lo[depth] * GA
+            if hi[depth] != lo[depth]:
+                bundle.trans[hi[depth]] += w_hi[depth] * GA
+            bundle.M[b] += np.outer(Atg, params.item_vecs[v])
+        bundle.W += np.outer(g, states[depth + 1])
+        g = params.W.T @ g
+    bundle.u0 += g
+    return bundle
+
+
+def assert_bundles_identical(got, want):
+    for name in ("W", "trans", "M", "u0"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("user_rows", "item_rows"):
+        rows, want_rows = getattr(got, name), getattr(want, name)
+        assert list(rows) == list(want_rows), name  # insertion order
+        for i in rows:
+            assert np.array_equal(rows[i], want_rows[i]), (name, i)
+            assert np.array_equal(np.signbit(rows[i]), np.signbit(want_rows[i])), (name, i)
+
+
+@pytest.mark.parametrize("ta", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("truncation", [None, 0, 1, 2, 50])
+def test_bptt_backward_matches_the_per_item_loop(ta, n, truncation):
+    c = tiny_corpus(n_items=6, length=300, seed=25)  # 6 items over 300 events: items repeat
+    p = tiny_params(c, d=5, n=n, ta=ta, seed=25)
+    rng = np.random.default_rng(25)
+    for arr in (p.W, p.trans, p.M):
+        arr += rng.normal(scale=0.3, size=arr.shape)  # off identity, so the sums round
+    seq = c.sequences[1]
+    # k < n grounds below a full window; k = 299 scatters 299 window items
+    ks = (1, 2, n - 1, n, 13, 29, 299)
+    for k in sorted({k for k in ks if k >= 1}):
+        path = hidden_path(p, seq, k)
+        if n > 1 and k == 13:
+            assert len(set(seq.items[k - n:k].tolist())) < n  # a window item repeats
+        dJ_dh = rng.normal(size=p.d)
+        got, want = GradientBundle.zeros_like(p), GradientBundle.zeros_like(p)
+        for b in (got, want):  # a row already present, as the output layer leaves it
+            b.item_rows[int(seq.items[0])] = np.arange(p.d) - 2.0
+        bptt_backward(p, seq, path, dJ_dh, got, truncation)
+        per_item_bptt_backward(p, seq, path, dJ_dh, want, truncation)
+        assert_bundles_identical(got, want)
