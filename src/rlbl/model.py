@@ -16,15 +16,16 @@ the first position below n. Scoring is the inner product
 
 The forward pass and scoring here serve both model kinds. A parameter
 class differs from the other only in its window-matrix provider:
-``windows(seq, layers, i)`` gives the (m, d, d) stack of window offset
-i's matrices at an array of layer positions, with the (lo, hi, w_lo,
-w_hi) arrays of the ``trans`` entries each row's gradient splits over
-(``trans`` is C here, the time-bin boundary matrices for TA-RLBL).
+``windows(seq, layers, i)`` broadcasts layer positions against window
+offsets i and gives each pair's matrix in a (..., d, d) stack, with the
+(lo, hi, w_lo, w_hi) arrays of the ``trans`` entries each matrix's
+gradient splits over (``trans`` is C here, the boundary matrices for TA-RLBL).
 
-The forward computes M_b r_v once per event and each offset's window
-terms once for all layers, then adds W h_prev and the terms in offset
-order. Batched matrix-vector products use stacked 3-D ``np.matmul``,
-which gives the bits of one ``A @ z`` each (a 2-D gemm does not).
+The forward computes M_b r_v once per event and the window terms from
+one provider call per offset (hidden_chain) or per chain (hidden_path,
+whose (layer, offset) table the BPTT sweep reads back), then adds W h_prev
+and the terms in offset order. Batched matrix-vector products use stacked
+``np.matmul``, which gives the bits of one ``A @ z`` each (a 2-D gemm does not).
 """
 
 from dataclasses import dataclass
@@ -81,11 +82,12 @@ class RlblParams(Sizes):
         return self.C
 
     def windows(self, seq, layers, i):
-        """C_i for each of the m layers as a broadcast (m, d, d) view, with
-        its split (lo, hi, w_lo, w_hi): all of the gradient goes to C_i."""
-        m = len(layers)
-        lo = np.full(m, i)
-        return np.broadcast_to(self.C[i], (m, self.d, self.d)), (lo, lo, np.ones(m), np.zeros(m))
+        """C_i for ``layers`` broadcast against offsets ``i``, as a (..., d, d)
+        view, with its split (lo, hi, w_lo, w_hi): all of the gradient goes to C_i."""
+        shape = np.broadcast(layers, i).shape
+        lo = np.full(shape, i)
+        return (np.broadcast_to(self.C[i], shape + (self.d, self.d)),
+                (lo, lo, np.ones(shape), np.zeros(shape)))
 
 
 @dataclass
@@ -120,8 +122,8 @@ def _check_position(seq, k):
 
 
 def _matvecs(A, Z):
-    """A[j] @ Z[j] for every row j, with the bits of one 2-D product each."""
-    return np.matmul(A, Z[:, :, None])[:, :, 0]
+    """A[j] @ Z[j] for every (broadcast) index j, with the bits of one A @ z each."""
+    return np.matmul(A, Z[..., None])[..., 0]
 
 
 def fold_rows(table):
@@ -163,30 +165,28 @@ def hidden_chain(params, seq, upto):
 def hidden_path(params, seq, k):
     """States along the anchored chain k, k-n, ..., ground.
 
-    Returns (positions, states, (Z, wins)): positions descending from k to
-    the grounding layer plus a final 0, states aligned with them (states[-1]
-    is u0), the prefix_products up to k, and for each window offset i the
-    (stack, split, terms) of windows() over the chain layers above i, rows
-    in chain order (only the grounding layer can be missing), with
-    terms[r] = stack[r] @ Z[p_r - i - 1]. Only the chain is evaluated.
+    Returns (positions, states, (Z, stack, split)): positions descending
+    from k to the grounding layer plus a final 0, states aligned with them
+    (states[-1] is u0), the prefix_products up to k, and the windows() of
+    every (chain layer, window offset) pair: stack[r, i] is the matrix of
+    offset i at layer positions[r], and split its gradient split. A pair
+    whose layer does not reach back past the offset (only the grounding
+    layer can have one) adds nothing. Only the chain is evaluated.
     """
     _check_position(seq, k)
     chain = list(range(k, 0, -params.n))
-    Z, layers = prefix_products(params, seq, k), np.array(chain, dtype=np.int64)
-    # layer r adds up row r of T: W h_prev, then the window terms in offset
-    # order; the grounding layer's missing terms are -0.0 (x + -0.0 == x)
-    wins, T = [], np.full((len(chain), min(params.n, k) + 1, params.d), -0.0)
-    for i in range(min(params.n, k)):
-        ps = layers[layers > i]
-        stack, split = params.windows(seq, ps, i)
-        terms = _matvecs(stack, Z[ps - i - 1])
-        wins.append((stack, split, terms))
-        T[:len(ps), i + 1] = terms
+    Z, layers = prefix_products(params, seq, k), np.array(chain, dtype=np.int64)[:, None]
+    offsets = np.arange(min(params.n, k))
+    stack, split = params.windows(seq, layers, offsets)
+    # layer r adds up row r of T: W h_prev, then the window terms in offset order;
+    # the grounding layer's missing terms are -0.0 (x + -0.0 == x; their Z rows wrap)
+    T = np.empty((len(chain), len(offsets) + 1, params.d))
+    T[:, 1:] = np.where((layers > offsets)[..., None], _matvecs(stack, Z[layers - offsets - 1]), -0.0)
     W, states = params.W, [params.u0]
     for row in T[::-1]:
         np.matmul(W, states[-1], out=row[0])
         states.append(fold_rows(row))
-    return chain + [0], states[::-1], (Z, wins)
+    return chain + [0], states[::-1], (Z, stack, split)
 
 
 def hidden_at(params, seq, k):

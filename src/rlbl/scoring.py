@@ -4,7 +4,8 @@ A scorer exposes score_positions(seq, ks, behaviors) -> (len(ks), n_items)
 array whose row j scores the candidate items at position ks[j]+1 under
 behaviors[j]. The model scorer memoizes the hidden-state chain per user;
 memoization is value-equal to the uncached recursion and is only safe
-while parameters are not updated.
+while parameters are not updated. A memoized chain serves only the same
+sequence object, so one scorer can score several corpora in turn.
 """
 
 import numpy as np
@@ -20,10 +21,11 @@ class _ChainScorer:
         self._chains = {}
 
     def score_positions(self, seq, ks, behaviors):
-        chain = self._chains.get(seq.user_id)
-        if chain is None or chain.shape[0] <= np.max(ks):
+        memo, chain = self._chains.get(seq.user_id, (None, None))
+        if memo is not seq or chain.shape[0] <= np.max(ks):
             upto = max(len(seq) - 1, int(np.max(ks)))
-            chain = self._chains[seq.user_id] = hidden_chain(self.params, seq, upto)
+            chain = hidden_chain(self.params, seq, upto)
+            self._chains[seq.user_id] = seq, chain
         return score_rows(self.params, chain[ks], seq.user_id, behaviors)
 
 

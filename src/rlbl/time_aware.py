@@ -53,11 +53,12 @@ class TaRlblParams(Sizes):
         return self.grid.boundary_mats
 
     def windows(self, seq, layers, i):
-        """T(t_d) for the gap between each layer's event and the one i before
-        it, as an (m, d, d) stack, with the boundary matrices and weights
-        each row blends."""
-        ts = seq.timestamps
-        return interp_stack(self.grid, np.maximum(ts[layers - 1] - ts[layers - 1 - i], 0))
+        """T(t_d) for the gap between each layer's event and the one i before it
+        (the first event if none is), for ``layers`` broadcast against offsets
+        ``i``, as a (..., d, d) stack with the boundary matrices and weights
+        each matrix blends."""
+        ts, earlier = seq.timestamps, np.maximum(layers - 1 - i, 0)
+        return interp_stack(self.grid, np.maximum(ts[layers - 1] - ts[earlier], 0))
 
 
 def init_ta_rlbl_params(n_users, n_items, n_behaviors, d, n, bin_width=3600.0,
@@ -103,9 +104,9 @@ def interp_weights(grid, t_d):
 
 
 def interp_stack(grid, t_d):
-    """T(t_d) for each time difference in a 1-D array as an (m, d, d) stack,
-    with the (lo, hi, w_lo, w_hi) split of interp_weights; a row on a single
-    boundary is that boundary matrix exactly."""
+    """T(t_d) for each time difference in an array of shape s as an
+    s + (d, d) stack, with the (lo, hi, w_lo, w_hi) split of interp_weights;
+    a matrix on a single boundary is that boundary matrix exactly."""
     split = lo, hi, w_lo, w_hi = interp_weights(grid, t_d)
     mats = grid.boundary_mats
     stack = mats[lo]

@@ -198,12 +198,14 @@ def bpr_pair_loss(y_pos, y_neg, reg=0.0):
     return np.logaddexp(0.0, -(y_pos - y_neg)) + reg
 
 
-def sample_negative(n_items, pos_item, rng):
-    """Uniform draw over all n_items items except pos_item."""
+def sample_negative(n_items, pos_item, rng, size=None):
+    """Uniform draw over all n_items items except pos_item: an int, or an
+    array of ``size`` draws (numpy's convention)."""
     if n_items < 2:
         raise SamplingError("need at least 2 items to sample a negative")
-    v = int(rng.integers(n_items - 1))
-    return v + 1 if v >= pos_item else v
+    v = rng.integers(n_items - 1, size=size)
+    v = v + (v >= pos_item)
+    return v if size is not None else int(v)
 
 
 def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
@@ -249,20 +251,21 @@ def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
 def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     """Propagate dJ/dh_k down the chain k, k-n, ..., accumulating into bundle.
 
-    ``path`` is the forward pass from hidden_path, whose stacks give each
-    window term's A, its split and M r. With g_t the gradient at chain depth
+    ``path`` is the forward pass from hidden_path, whose (layer, offset)
+    table of window matrices gives each window term's A and its split, and
+    whose prefix products give its M r. With g_t the gradient at chain depth
     t (g_{t+1} = W^T g_t), the window item of offset i at depth t receives
     M^T A^T g_t, the transition matrices g_t (M r)^T (split over the two
     boundary matrices for TA-RLBL), its behavior matrix A^T g_t r^T, and W
     picks up g_t h_{t+1}^T. The chain grounds at u0 with dJ/du0 = W^T g of
     the deepest layer.
 
-    One sweep for all depths: A^T g for each offset is one stacked product
-    over the chain, and each accumulator gets one ordered scatter of its
+    One sweep for all depths: A^T g for every (depth, offset) pair is one
+    stacked product, and each accumulator gets one ordered scatter of its
     terms listed depth by depth, offsets in order within a depth, so the
     sums have the bits of adding one window item at a time.
     """
-    positions, states, (Z, wins) = path
+    positions, states, (Z, stack, (lo, hi, w_lo, w_hi)) = path
     depth = len(positions) - 1  # the final entry is layer 0
     grounded = truncation is None or truncation >= depth
     depth = depth if grounded else truncation
@@ -276,20 +279,13 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     G = np.array(gs[:depth])
     _ordered_add(bundle.W[None], np.zeros(depth, np.intp),
                  G[:, :, None] * np.array(states[1:depth + 1])[:, None, :])
-    # (depth, offset) tables of A^T g and of each term's trans entries (lo,
-    # hi) and weights; valid where the layer reaches back past the offset
-    n_off = len(wins)
-    Atg = np.empty((depth, n_off, params.d))
-    ids, wts = np.zeros((2, depth, n_off), np.intp), np.zeros((2, depth, n_off))
-    valid = np.zeros((depth, n_off), bool)
-    for i, (stack, (lo, hi, w_lo, w_hi), _) in enumerate(wins):
-        m = min(depth, len(stack))
-        Atg[:m, i] = np.matmul(stack[:m].transpose(0, 2, 1), G[:m, :, None])[:, :, 0]
-        ids[:, :m, i], wts[:, :m, i] = (lo[:m], hi[:m]), (w_lo[:m], w_hi[:m])
-        valid[:m, i] = True
-    t, i = np.nonzero(valid)  # depth-major, offsets in order
-    js = np.asarray(positions[:depth])[t] - i - 1  # the window events, 0-based
-    Atg, ids, wts = Atg[t, i], ids[:, t, i].T, wts[:, t, i].T
+    # the (depth, offset) pairs whose layer reaches back past the offset,
+    # depth-major, offsets in order, with their A^T g, trans entries and weights
+    layers = np.asarray(positions[:depth])
+    t, i = np.nonzero(layers[:, None] > np.arange(stack.shape[1]))
+    js = layers[t] - i - 1  # the window events, 0-based
+    Atg = np.matmul(stack[:depth].swapaxes(-1, -2), G[:, None, :, None])[t, i, :, 0]
+    ids, wts = np.stack([lo[t, i], hi[t, i]], axis=1), np.stack([w_lo[t, i], w_hi[t, i]], axis=1)
     for s in range(0, len(t), _BLOCK_ITEMS):  # consecutive blocks keep the order
         blk = slice(s, s + _BLOCK_ITEMS)
         A, j = Atg[blk], js[blk]
@@ -375,8 +371,8 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
         for k in training_positions(corpus, u):
             b = int(seq.behaviors[k])
             v = int(seq.items[k])
-            insts = [TrainingInstance(u, k, b, v, sample_negative(corpus.n_items, v, rng))
-                     for _ in range(cfg.negatives_per_positive)]
+            negs = sample_negative(corpus.n_items, v, rng, size=cfg.negatives_per_positive)
+            insts = [TrainingInstance(u, k, b, v, neg) for neg in negs.tolist()]
             group_losses, norm = _train_group(params, seq, insts, cfg, shared_scale, eta)
             losses.extend(group_losses)
             norms.append(norm)

@@ -334,6 +334,24 @@ def test_ta_window_stack_rows_are_interp_matrix():
     assert {0, 3600, 5400, 14400, 16000} <= seen
 
 
+@pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl"])
+def test_window_table_rows_are_the_per_offset_windows(kind):
+    if kind == "rlbl":
+        params = random_params(n=4, seed=36)
+    else:
+        params = random_ta_params(n=4, n_bins=4, seed=36)
+    seq = make_seq(range(len(EDGE_TIMES)), timestamps=EDGE_TIMES)
+    layers = np.arange(len(seq), 0, -1)  # layers 1-3 include pairs that reach back past event 1
+    stack, split = params.windows(seq, layers[:, None], np.arange(params.n))
+    assert stack.shape == (len(layers), params.n, params.d, params.d)
+    for i in range(params.n):
+        row_stack, row_split = params.windows(seq, layers, i)
+        assert stack[:, i].tobytes() == row_stack.tobytes()
+        for a, b in zip(split, row_split):
+            assert a.shape == stack.shape[:2] and a.dtype == b.dtype
+            assert a[:, i].tobytes() == b.tobytes()
+
+
 def test_rlbl_window_stack_is_c_i_with_unit_weight():
     params = random_params(n=3, seed=34)
     seq = random_seq(params, 7, seed=35)

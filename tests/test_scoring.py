@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlbl.model import NumericError, RlblParams, hidden_chain, score_all_items
+from rlbl import scoring
+from rlbl.evaluation import evaluate, report_table
+from rlbl.ingestion import SynthSpec, synth_corpus
+from rlbl.model import NumericError, RlblParams, hidden_chain, init_rlbl_params, score_all_items
 from rlbl.scoring import finite_scores, scorer_for, top_k_items
 from tests.test_model import make_seq, quarter_hour_seq, random_ta_params
 from tests.test_time_aware import ta_case
@@ -48,6 +51,23 @@ def test_scorer_memo_extends_to_a_later_position():
     H = hidden_chain(rl, seq, len(seq))
     assert np.array_equal(late[0], per_position_scores(rl, H[len(seq)], seq.user_id, 1))
     assert np.array_equal(late[1], early[0])
+
+
+def test_a_reused_scorer_scores_another_corpus_afresh(monkeypatch):
+    # both corpora have users 0-4: a chain memoized for corpus A's user u
+    # must not score corpus B's user u
+    a, b = (synth_corpus(SynthSpec(n_users=5, n_items=8, seq_len_range=(20, 20), rng_seed=s))
+            for s in (1, 2))
+    params = init_rlbl_params(5, max(a.n_items, b.n_items), 2, d=4, n=2, seed=6)
+    scorer = scorer_for(params)
+    evaluate(scorer, a)
+    assert report_table(evaluate(scorer, b)) == report_table(evaluate(scorer_for(params), b))
+    # the memo still serves a corpus scored before
+    calls = []
+    monkeypatch.setattr(scoring, "hidden_chain",
+                        lambda *args: calls.append(args) or hidden_chain(*args))
+    evaluate(scorer, b)
+    assert calls == []
 
 
 class RowScorer:

@@ -145,6 +145,19 @@ def test_sample_negative_needs_two_items():
         sample_negative(c.n_items, 0, np.random.default_rng(0))
 
 
+def test_one_sized_draw_is_that_many_single_draws():
+    # sgd_epoch draws a step's negatives in one call; that must give the
+    # values and the next generator state of drawing them one at a time
+    for n_items in [*range(2, 60), 199, 200, 201, 3706, 2**16, 2**31 + 7, 2**32 + 5]:
+        for m in (1, 2, 3, 8, 17):
+            pos = (7 * m) % n_items
+            one, each = np.random.default_rng(n_items + m), np.random.default_rng(n_items + m)
+            got = sample_negative(n_items, pos, one, size=m)
+            assert got.tolist() == [sample_negative(n_items, pos, each) for _ in range(m)], \
+                (n_items, m)
+            assert one.bit_generator.state == each.bit_generator.state, (n_items, m)
+
+
 # --- gradients vs finite differences ---------------------------------------
 
 @pytest.mark.parametrize("ta", [False, True])
@@ -573,26 +586,41 @@ def per_item_bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     def add_row(rows, idx, g):
         rows[idx] = rows[idx] + g if idx in rows else np.array(g)
 
-    positions, states, (Z, wins) = path
-    wins = [(stack, *(a.tolist() for a in split)) for stack, split, _ in wins]
+    positions, states, (Z, stack, split) = path
+    lo, hi, w_lo, w_hi = (a.tolist() for a in split)
     g = np.array(dJ_dh)
     for depth, p in enumerate(positions[:-1]):
         if truncation is not None and depth >= truncation:
             return bundle
-        for i, (stack, lo, hi, w_lo, w_hi) in enumerate(wins[:p]):
+        for i in range(min(p, stack.shape[1])):
             j = p - i - 1
             v, b = int(seq.items[j]), int(seq.behaviors[j])
-            Atg = stack[depth].T @ g
+            Atg = stack[depth, i].T @ g
             add_row(bundle.item_rows, v, params.M[b].T @ Atg)
             GA = np.outer(g, Z[j])
-            bundle.trans[lo[depth]] += w_lo[depth] * GA
-            if hi[depth] != lo[depth]:
-                bundle.trans[hi[depth]] += w_hi[depth] * GA
+            bundle.trans[lo[depth][i]] += w_lo[depth][i] * GA
+            if hi[depth][i] != lo[depth][i]:
+                bundle.trans[hi[depth][i]] += w_hi[depth][i] * GA
             bundle.M[b] += np.outer(Atg, params.item_vecs[v])
         bundle.W += np.outer(g, states[depth + 1])
         g = params.W.T @ g
     bundle.u0 += g
     return bundle
+
+
+@pytest.mark.parametrize("ta", [False, True])
+def test_group_gradients_asks_the_provider_once(ta, monkeypatch):
+    c = tiny_corpus(length=30, seed=26)
+    p = tiny_params(c, n=6, ta=ta, seed=26)
+    windows, calls = type(p).windows, []
+
+    def spy(self, seq, layers, i):
+        calls.append((np.shape(layers), np.shape(i)))
+        return windows(self, seq, layers, i)
+
+    monkeypatch.setattr(type(p), "windows", spy)
+    group_gradients(p, c.sequences[0], [an_instance(c, k=20)], TrainConfig())
+    assert calls == [((4, 1), (6,))]  # chain 20, 14, 8, 2 against offsets 0-5
 
 
 def assert_bundles_identical(got, want):
