@@ -46,7 +46,7 @@ for label, params in (
 
 # negative control: flip the sign of the analytic bundle and the check fails
 params = init_rlbl_params(3, corpus.n_items, 3, d=4, n=2, seed=1)
-bad = group_gradients(params, seq, [inst], cfg)[1].scale(-1.0)
+bad = group_gradients(params, seq, k, [inst.neg_item], cfg)[1].scale(-1.0)
 report = gradient_check(params, seq, k, inst, cfg=cfg, rng=rng, analytic_bundle=bad)
 print(f"sign-flipped bundle passes: {report.passed} (expected False)")
 assert not report.passed

@@ -9,6 +9,7 @@ filled in) is written next to the outputs. Exit codes: 0 success,
 import argparse
 import copy
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -337,7 +338,7 @@ def run_gradcheck(seed=0, tolerance=1e-4, corrupt=False):
             pos_item=int(seq.items[k]),
             neg_item=training.sample_negative(corpus.n_items, int(seq.items[k]), rng),
         )
-        injected = (training.group_gradients(params, seq, [inst], tcfg)[1].scale(-1.0)
+        injected = (training.group_gradients(params, seq, k, [inst.neg_item], tcfg)[1].scale(-1.0)
                     if corrupt else None)
         report = training.gradient_check(params, seq, k, inst, tolerance=tolerance,
                                          cfg=tcfg, rng=rng, analytic_bundle=injected)
@@ -365,6 +366,7 @@ def cmd_gen_synth(cfg, out_path):
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def build_parser():
     parser = argparse.ArgumentParser(prog="rlbl", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")

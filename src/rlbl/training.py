@@ -1,8 +1,9 @@
 """BPR pairwise training with backpropagation through the recurrent chain.
 
-A training step takes the group of BPR pairs at one context position: the
-positive item v of event k+1 against each sampled negative v', all scored
-from the same hidden state h_k. Its objective is the sum of the pair terms
+A training step takes the group of BPR pairs at one context position k of
+a sequence: the positive item v of event k+1 against each sampled negative
+v', all scored from the same hidden state h_k. Its objective is the sum of
+the pair terms
 
     J = ln(1 + exp(-(y_pos - y_neg))) + (lambda/2) ||Theta||^2,
 
@@ -12,9 +13,10 @@ behavior matrix, W, the full transition stack and u0). One function,
 closed-form at the output layer (:func:`output_gradients`, the one place
 that scores the pairs, all negatives as one stacked product, and sums their
 lambda norms), then one BPTT sweep down the chain h_k -> h_{k-n} -> ... ->
-u0. The SGD step uses it, and the central finite-difference oracle
-(:func:`gradient_check`) differences the pair losses that
-:func:`output_gradients` returns, the loss the step reports.
+u0, with the sparse user/item rows as arrays. The SGD step uses it, and
+the central finite-difference oracle (:func:`gradient_check`) differences
+the pair losses that :func:`output_gradients` returns, the loss the step
+reports.
 
 Both model kinds share this module through their window-matrix provider
 (see rlbl.model): the "transition stack" is ``params.trans``, and each
@@ -25,7 +27,7 @@ matrices, with the interpolation weights, for TA-RLBL).
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -77,7 +79,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    """One BPR pair: predict event k+1, positive item vs sampled negative."""
+    """One BPR pair for the finite-difference oracle: event k+1's item vs a negative."""
 
     user_id: int
     position: int   # k; the target is the event at 1-based position k+1
@@ -117,29 +119,30 @@ def _ordered_add(acc, idx, vals):
     acc[keys] = fold_rows(table)
 
 
-def _scatter_rows(rows, idx, G):
-    """Add each row G[r] into the sparse row dict at the int idx[r], in order
-    of r. An index new to the dict is inserted at its first appearance and
-    starts from -0.0, so its first add is an exact copy of the row."""
-    keys = list(dict.fromkeys(idx))
-    col = {key: c for c, key in enumerate(keys)}
-    new = np.full(G.shape[1], -0.0)
-    acc = np.array([rows.get(key, new) for key in keys])
-    _ordered_add(acc, [col[key] for key in idx], G)
-    rows.update(zip(keys, acc))
+def _ordered_sum(idx, rows):
+    """(keys, sums) of rows labelled by idx: each index once, in order of its
+    first appearance, with its rows added in turn onto -0.0 (so a lone row
+    is copied exactly, sign bits included)."""
+    keys, first, col = np.unique(idx, return_index=True, return_inverse=True)
+    sums = np.full((len(keys),) + rows.shape[1:], -0.0)
+    _ordered_add(sums, col, rows)
+    order = np.argsort(first)
+    return keys[order], sums[order]
 
 
 @dataclass
 class GradientBundle:
     """Gradient accumulators of one group, one per parameter tensor.
 
-    User/item rows are kept sparse (dict row -> vector); W, the transition
-    stack (position matrices C for RLBL, grid boundary matrices for
-    TA-RLBL), the behavior matrices and u0 are dense.
+    User/item rows are sparse, (indices, stacked rows) with each index once
+    in order of its first term (``item_vecs`` lists the terms themselves
+    until group_gradients sums them); W, the transition stack (position
+    matrices C for RLBL, grid boundary matrices for TA-RLBL), the behavior
+    matrices and u0 are dense.
     """
 
-    user_rows: dict = field(default_factory=dict)
-    item_rows: dict = field(default_factory=dict)
+    user_vecs: tuple = None
+    item_vecs: tuple = None
     W: np.ndarray = None
     trans: np.ndarray = None
     M: np.ndarray = None
@@ -147,19 +150,15 @@ class GradientBundle:
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(W=np.zeros_like(params.W), trans=np.zeros_like(params.trans),
-                   M=np.zeros_like(params.M), u0=np.zeros_like(params.u0))
-
-    def rows(self, name):
-        """(indices, stacked rows) of "user_vecs" or "item_vecs", in insertion order."""
-        rows = self.user_rows if name == "user_vecs" else self.item_rows
-        return np.fromiter(rows, np.intp, len(rows)), np.array(list(rows.values()))
+        rows = np.empty(0, np.intp), np.empty((0, params.d))
+        return cls(rows, rows, np.zeros_like(params.W), np.zeros_like(params.trans),
+                   np.zeros_like(params.M), np.zeros_like(params.u0))
 
     def clip(self, max_norm):
         """Rescale the bundle to global L2 norm max_norm if it is larger; return the
         norm before clipping. The squared norms (rows, then dense tensors) are
         added one at a time by a cumulative sum, where np.sum would pair them."""
-        sq = [np.sum(g * g, axis=1) for _, g in map(self.rows, ("user_vecs", "item_vecs"))]
+        sq = [np.sum(G * G, axis=1) for _, G in (self.user_vecs, self.item_vecs)]
         sq.append([np.sum(g * g) for g in (self.W, self.trans, self.M, self.u0)])
         norm = math.sqrt(np.cumsum(np.concatenate(sq))[-1])
         if norm > max_norm:
@@ -167,10 +166,7 @@ class GradientBundle:
         return norm
 
     def scale(self, alpha):
-        for name, rows in (("user_vecs", self.user_rows), ("item_vecs", self.item_rows)):
-            idx, G = self.rows(name)
-            rows.update(zip(idx.tolist(), G * alpha))
-        for arr in (self.W, self.trans, self.M, self.u0):
+        for arr in (self.user_vecs[1], self.item_vecs[1], self.W, self.trans, self.M, self.u0):
             arr *= alpha
         return self
 
@@ -208,21 +204,20 @@ def sample_negative(n_items, pos_item, rng, size=None):
     return v if size is not None else int(v)
 
 
-def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
-    """Pair losses and closed-form gradients of a group at the output layer.
+def output_gradients(params, h_k, seq, k, negs, lam=0.0, shared_scale=1.0):
+    """Pair losses and closed-form gradients at the output layer of the group
+    at ``seq``'s position k: event k+1 (user, behavior, item) against ``negs``.
 
-    Returns (pair loss array, bundle, dJ/dh_k). The pairs share user, h_k,
-    target behavior and positive item, so (h_k + u_u) M_b, y_pos and the
-    shared lambda norms are computed once; the negatives' vectors R go
+    Returns (pair loss array, bundle, dJ/dh_k). (h_k + u_u) M_b, y_pos and
+    the shared lambda norms are computed once; the negatives' vectors R go
     through as one stacked product. A pair's loss is its BPR term plus
     (lambda/2) times the squared norms it regularizes: its u_u, r_v and r_v'
     fully, and the densely-shared tensors discounted by ``shared_scale``
     (see sgd_epoch). The u_u, r_v, M_b gradients (with lambda terms) and
-    dJ/dh_k (without) are pair sums; negatives add their rows in pair order.
+    dJ/dh_k (without) are pair sums; the negatives' item rows follow r_v's.
     """
-    uid, b, v = insts[0].user_id, insts[0].behavior, insts[0].pos_item
+    uid, b, v = seq.user_id, seq.behaviors[k], seq.items[k]
     u, Mb, r_pos = params.user_vecs[uid], params.M[b], params.item_vecs[v]
-    negs = [inst.neg_item for inst in insts]
     R = params.item_vecs[negs]
     s = h_k + u
     proj = s @ Mb
@@ -240,9 +235,9 @@ def output_gradients(params, h_k, insts, lam=0.0, shared_scale=1.0):
     d_proj = sig[:, None] * (Mb.T @ s)
     g_pos, g_neg = (-d_proj + lam * r_pos, d_proj + lam * R) if lam else (-d_proj, d_proj)
     bundle = GradientBundle.zeros_like(params)
-    bundle.user_rows[uid] = np.sum(d_s + lam * u, axis=0)
-    bundle.item_rows[v] = np.sum(g_pos, axis=0)
-    _scatter_rows(bundle.item_rows, negs, g_neg)
+    bundle.user_vecs = np.array([uid]), np.sum(d_s + lam * u, axis=0)[None]
+    bundle.item_vecs = (np.concatenate(([v], negs)),
+                        np.concatenate((np.sum(g_pos, axis=0)[None], g_neg)))
     bundle.M[b] += np.sum(sig[:, None, None] * (s[:, None] * D[:, None, :])
                           + shared_scale * lam * Mb, axis=0)
     return losses, bundle, np.sum(d_s, axis=0)
@@ -262,8 +257,9 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
 
     One sweep for all depths: A^T g for every (depth, offset) pair is one
     stacked product, and each accumulator gets one ordered scatter of its
-    terms listed depth by depth, offsets in order within a depth, so the
-    sums have the bits of adding one window item at a time.
+    terms listed depth by depth, offsets in order within a depth (the item
+    rows' terms are appended to ``bundle.item_vecs``), so the sums have the
+    bits of adding one window item at a time.
     """
     positions, states, (Z, stack, (lo, hi, w_lo, w_hi)) = path
     depth = len(positions) - 1  # the final entry is layer 0
@@ -286,12 +282,12 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     js = layers[t] - i - 1  # the window events, 0-based
     Atg = np.matmul(stack[:depth].swapaxes(-1, -2), G[:, None, :, None])[t, i, :, 0]
     ids, wts = np.stack([lo[t, i], hi[t, i]], axis=1), np.stack([w_lo[t, i], w_hi[t, i]], axis=1)
+    rows = [bundle.item_vecs[1]]
     for s in range(0, len(t), _BLOCK_ITEMS):  # consecutive blocks keep the order
         blk = slice(s, s + _BLOCK_ITEMS)
         A, j = Atg[blk], js[blk]
         v, b = seq.items[j], seq.behaviors[j]
-        _scatter_rows(bundle.item_rows, v.tolist(),
-                      np.matmul(params.M[b].transpose(0, 2, 1), A[:, :, None])[:, :, 0])
+        rows.append(np.matmul(params.M[b].transpose(0, 2, 1), A[:, :, None])[:, :, 0])
         _ordered_add(bundle.M, b, A[:, :, None] * params.item_vecs[v][:, None, :])
         # each term's lo entry, then its hi entry where the split blends two
         lohi, w = ids[blk], wts[blk]
@@ -299,24 +295,26 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
         GA = G[t[blk][r]][:, :, None] * Z[j[r]][:, None, :]
         GA *= w[r, c][:, None, None]
         _ordered_add(bundle.trans, lohi[r, c], GA)
+    bundle.item_vecs = np.concatenate((bundle.item_vecs[0], seq.items[js])), np.concatenate(rows)
     return bundle
 
 
-def group_gradients(params, seq, insts, cfg, shared_scale=1.0):
-    """(per-pair losses, unclipped gradient bundle of their sum) for BPR pairs
-    that share user, context position and target: one forward, the output
-    layer of the group, one BPTT sweep of the summed dJ/dh_k, and the W,
-    transition-stack and u0 lambda terms once per pair. A non-finite loss
-    raises NumericError."""
-    k = insts[0].position
+def group_gradients(params, seq, k, negs, cfg, shared_scale=1.0):
+    """(per-pair losses, unclipped gradient bundle of their sum) for the BPR
+    pairs of the target at 1-based position k+1 of ``seq`` against each
+    item of ``negs``: one forward, the output layer of the group, one BPTT
+    sweep of the summed dJ/dh_k, one ordered sum of the item-row terms, and
+    the W, transition-stack and u0 lambda terms once per pair. A non-finite
+    loss raises NumericError."""
     path = hidden_path(params, seq, k)
-    losses, bundle, dJ_dh = output_gradients(params, path[1][0], insts, lam=cfg.lam,
+    losses, bundle, dJ_dh = output_gradients(params, path[1][0], seq, k, negs, lam=cfg.lam,
                                              shared_scale=shared_scale)
     if not np.isfinite(losses).all():
         bad = losses[~np.isfinite(losses)][0]
-        raise NumericError(f"non-finite loss {bad} at user {insts[0].user_id} position {k}")
+        raise NumericError(f"non-finite loss {bad} at user {seq.user_id} position {k}")
     bptt_backward(params, seq, path, dJ_dh, bundle, truncation=cfg.bptt_truncation)
-    lam = cfg.lam * shared_scale * len(insts)
+    bundle.item_vecs = _ordered_sum(*bundle.item_vecs)
+    lam = cfg.lam * shared_scale * len(negs)
     if lam:
         bundle.W += lam * params.W
         bundle.trans += lam * params.trans
@@ -324,14 +322,14 @@ def group_gradients(params, seq, insts, cfg, shared_scale=1.0):
     return losses, bundle
 
 
-def _train_group(params, seq, insts, cfg, shared_scale, eta):
+def _train_group(params, seq, k, negs, cfg, shared_scale, eta):
     """One clipped SGD step theta <- theta - eta * g on a group; returns the
     pre-update pair losses and the gradient's norm before clipping (None
     without clipping)."""
-    losses, bundle = group_gradients(params, seq, insts, cfg, shared_scale)
+    losses, bundle = group_gradients(params, seq, k, negs, cfg, shared_scale)
     norm = None if cfg.clip_norm is None else bundle.clip(cfg.clip_norm)
     for name in ("user_vecs", "item_vecs"):
-        idx, G = bundle.rows(name)
+        idx, G = getattr(bundle, name)
         getattr(params, name)[idx] -= eta * G
     params.W -= eta * bundle.W
     params.trans[...] -= eta * bundle.trans
@@ -369,11 +367,9 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
     for u in order:
         seq = corpus.sequences[u]
         for k in training_positions(corpus, u):
-            b = int(seq.behaviors[k])
-            v = int(seq.items[k])
-            negs = sample_negative(corpus.n_items, v, rng, size=cfg.negatives_per_positive)
-            insts = [TrainingInstance(u, k, b, v, neg) for neg in negs.tolist()]
-            group_losses, norm = _train_group(params, seq, insts, cfg, shared_scale, eta)
+            negs = sample_negative(corpus.n_items, seq.items[k], rng,
+                                   size=cfg.negatives_per_positive)
+            group_losses, norm = _train_group(params, seq, k, negs, cfg, shared_scale, eta)
             losses.extend(group_losses)
             norms.append(norm)
     telemetry = {}
@@ -418,7 +414,7 @@ def _dense(params, bundle, name):
     """(dense gradient of one tensor, its sorted touched rows or None)."""
     if name not in ("user_vecs", "item_vecs"):
         return getattr(bundle, name), None
-    idx, G = bundle.rows(name)
+    idx, G = getattr(bundle, name)
     dense = np.zeros_like(getattr(params, name))
     dense[idx] = G
     return dense, sorted(idx.tolist())
@@ -457,32 +453,33 @@ def gradient_check(params, seq, k, group, step=1e-5, tolerance=1e-4,
                    cfg=None, rng=None, min_coords=50, analytic_bundle=None):
     """Compare analytic gradients against central finite differences.
 
-    ``group`` is one TrainingInstance or a sequence of pairs that share
-    user, context position k and target; the objective is the sum of their
-    pair losses, and the analytic side is :func:`group_gradients`,
-    the function the SGD step uses. Perturbs >= min_coords coordinates per
-    tensor (all coordinates of the touched user/item rows, a subsample of
-    large dense tensors) and reports the max relative error per tensor.
-    ``analytic_bundle`` lets tests inject a corrupted bundle as a negative
-    control.
+    ``group`` is one TrainingInstance or a sequence of them, each naming
+    ``seq``'s user, position k and event k+1 (else ValueError); the
+    objective is the sum of their pair losses, and the analytic side is
+    :func:`group_gradients`, the function the SGD step uses. Perturbs >=
+    min_coords coordinates per tensor (all coordinates of the touched
+    user/item rows, a subsample of large dense tensors) and reports the max
+    relative error per tensor. ``analytic_bundle`` lets tests inject a
+    corrupted bundle as a negative control.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
     insts = [group] if isinstance(group, TrainingInstance) else list(group)
-    if {(i.user_id, i.position, i.behavior, i.pos_item) for i in insts} != {
-            (insts[0].user_id, k, insts[0].behavior, insts[0].pos_item)}:
-        raise ValueError(f"the pairs must share user, target and position {k}")
+    pairs = {(i.user_id, i.position, i.behavior, i.pos_item) for i in insts}
+    if not 0 <= k < len(seq) or pairs != {(seq.user_id, k, seq.behaviors[k], seq.items[k])}:
+        raise ValueError(f"the pairs must predict user {seq.user_id}'s event after position {k}")
+    negs = np.array([i.neg_item for i in insts])
     if cfg is None:
         cfg = TrainConfig()
     if rng is None:
         rng = np.random.default_rng(0)
     bundle = analytic_bundle
     if bundle is None:
-        bundle = group_gradients(params, seq, insts, cfg)[1]
+        bundle = group_gradients(params, seq, k, negs, cfg)[1]
 
     def objective():
         h = hidden_path(params, seq, k)[1][0]
-        return math.fsum(output_gradients(params, h, insts, lam=cfg.lam)[0])
+        return math.fsum(output_gradients(params, h, seq, k, negs, lam=cfg.lam)[0])
 
     errors = {}
     for name in TENSOR_NAMES:

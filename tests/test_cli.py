@@ -129,6 +129,16 @@ def test_gradcheck_negative_control():
     assert not ok
 
 
+def test_parser_is_built_once_and_parses_afresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["--seed", "3", "predict", "--snapshot", "m.snap",
+                               "--user", "u", "--behavior", "1"])
+    second = parser.parse_args(["gradcheck"])
+    assert (first.seed, first.top_k) == (3, 10)
+    assert second.seed is None and not hasattr(second, "top_k")
+
+
 def test_gen_synth_roundtrip(tmp_path, capsys):
     cfg = cfg_with_out(tmp_path)
     out_file = tmp_path / "events.tsv"
