@@ -69,7 +69,7 @@ class MarkovModel:
     def score_positions(self, seq, ks, behaviors):
         """Each row is the transition row of the item at position k, or the
         fallback at k = 0 and after an item with no training transition."""
-        ks = np.asarray(ks)
+        ks = np.asarray(ks, dtype=np.intp)
         prev = seq.items[np.maximum(ks - 1, 0)]
         known = (ks >= 1) & self.row_observed[prev]
         return np.where(known[:, None], self.transitions[prev], self.fallback)

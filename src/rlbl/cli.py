@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from rlbl import baselines, evaluation, ingestion, model, scoring, snapshot, time_aware, training
-from rlbl.data import MAX_BEHAVIORS, EmptyCorpus, build_corpus
+from rlbl.data import MAX_BEHAVIORS, build_corpus
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,17 +46,11 @@ DEFAULT_CONFIG = {
     },
     "split": [0.7, 0.1],
     "model": {"kind": "rlbl", "d": 8, "n": 2, "bin_width": 3600.0, "n_bins": 24},
-    "train": {
-        "lam": 0.01,
-        "learning_rate": 0.05,
-        "lr_decay": 0.0,
-        "negatives_per_positive": 1,
-        "epochs": 10,
-        "patience": 5,
-        "train_behavior_mats": True,
-        "bptt_truncation": None,
-        "clip_norm": 5.0,
-    },
+    # TrainConfig's fields and defaults but the seed (the run's) and
+    # train_behavior_mats (the model kind's), with the CLI's epochs and patience
+    "train": {**{f.name: f.default for f in dataclasses.fields(training.TrainConfig)
+                 if f.name not in ("rng_seed", "train_behavior_mats")},
+              "epochs": 10, "patience": 5},
     "eval": {"cutoffs": [1, 2, 5, 10], "buckets": [50, 200], "exclude_seen": False},
     "out": None,
     "seed": 0,
@@ -70,9 +64,9 @@ SYNTH_KEYS = {f.name: f.default for f in dataclasses.fields(ingestion.SynthSpec)
 # the null defaults, timestamp_unit, whose int default may be a fraction,
 # and seq_len_range, a tuple default given as a YAML list
 TYPE_OF = {"dataset.path": "", "dataset.behavior_map": {}, "dataset.target_behaviors": [0],
-           "dataset.timestamp_unit": 1.0, "train.bptt_truncation": 0, "out": "",
+           "dataset.timestamp_unit": 1.0, "out": "",
            "dataset.synth.seq_len_range": [0], "dataset.synth.cycle_len": 0}
-NULLABLE = ("train.clip_norm", "train.patience")  # null switches these off
+NULLABLE = ("train.patience",)  # null switches early stopping off
 
 
 def _fits(value, like):
@@ -196,10 +190,11 @@ def init_model(cfg, corpus):
 
 
 def train_config(cfg):
-    """The TrainConfig of the train section: every key but patience is a field."""
+    """The TrainConfig of the train section, whose keys but patience are its
+    fields; the behavior matrices train unless the model is the linear RNN."""
     t = {key: value for key, value in cfg["train"].items() if key != "patience"}
-    t["train_behavior_mats"] &= cfg["model"]["kind"] != "linear-rnn"
-    return training.TrainConfig(**t, rng_seed=cfg["seed"])
+    return training.TrainConfig(**t, rng_seed=cfg["seed"],
+                                train_behavior_mats=cfg["model"]["kind"] != "linear-rnn")
 
 
 def eval_config(cfg, segment="test"):
@@ -290,10 +285,6 @@ def _check_dims(params, corpus):
             raise snapshot.SnapshotError(f"snapshot has {have} {size[2:]} but corpus has {want}")
 
 
-class UserError(KeyError):
-    pass
-
-
 def cmd_predict(snapshot_path, user, behavior, top_k):
     if top_k < 1:
         raise ConfigError(f"--top-k must be at least 1: {top_k}")
@@ -305,7 +296,7 @@ def cmd_predict(snapshot_path, user, behavior, top_k):
     try:
         uid = corpus.user_ids.index(str(user))
     except ValueError:
-        raise UserError(f"unknown user {user!r}") from None
+        raise ConfigError(f"unknown user {user!r}") from None
     seq = corpus.sequences[uid]
     ranked = scoring.top_k_items(scoring.scorer_for(params), seq, len(seq), behavior, top_k)
     for item, value in ranked:
@@ -417,7 +408,7 @@ def main(argv=None):
     except (ingestion.IoError, snapshot.SnapshotError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, EmptyCorpus, UserError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, EmptyCorpus and the range checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -151,8 +151,8 @@ def write_generic(events, path, delimiter="\t"):
     with open(path, "w", encoding="utf-8") as fh:
         for ev in events:
             for fld in (str(ev.user), str(ev.item)):
-                if delimiter in fld:
-                    raise FormatError(f"field {fld!r} contains the delimiter")
+                if delimiter in fld or "\n" in fld or "\r" in fld:
+                    raise FormatError(f"field {fld!r} contains the delimiter or a line break")
             fh.write(delimiter.join((str(ev.user), str(ev.item),
                                      str(ev.behavior), str(ev.timestamp))) + "\n")
 

@@ -22,8 +22,8 @@ class _ChainScorer:
 
     def score_positions(self, seq, ks, behaviors):
         memo, chain = self._chains.get(seq.user_id, (None, None))
-        if memo is not seq or chain.shape[0] <= np.max(ks):
-            upto = max(len(seq) - 1, int(np.max(ks)))
+        upto = int(np.max(ks, initial=len(seq) - 1))
+        if memo is not seq or chain.shape[0] <= upto:
             chain = hidden_chain(self.params, seq, upto)
             self._chains[seq.user_id] = seq, chain
         return score_rows(self.params, chain[ks], seq.user_id, behaviors)

@@ -51,15 +51,14 @@ class TrainConfig:
     negatives_per_positive: int = 1
     epochs: int = 1
     rng_seed: int = 0
-    bptt_truncation: int | None = None  # max recurrence depth; None = full chain
     train_behavior_mats: bool = True
     # Per-step gradient clipping: if the global L2 norm of the group's
     # gradient bundle exceeds this, the whole bundle is rescaled to it. The
     # recurrent chain has no nonlinearity to squash activations, so a
     # near-identity W makes gradient magnitude roughly depth-independent and
     # occasional large steps can push the spectral radius past 1, after which
-    # states and gradients grow without bound. None disables clipping.
-    clip_norm: float | None = 5.0
+    # states and gradients grow without bound. math.inf never clips.
+    clip_norm: float = 5.0
 
     def __post_init__(self):
         # written so that NaN fails every range check
@@ -71,10 +70,10 @@ class TrainConfig:
             raise ValueError("lr_decay must be finite and >= 0")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
-        if self.epochs < 0 or (self.bptt_truncation or 0) < 0:
-            raise ValueError("epochs and bptt_truncation must be >= 0")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError("clip_norm must be > 0 or None")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not self.clip_norm > 0:
+            raise ValueError("clip_norm must be > 0 (math.inf never clips)")
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ class EpochReport:
     mean_step_size: float
     wall_time: float
     # the steps' gradient norms before clipping, and the share of steps
-    # clipped; None when clip_norm is None (no norm is computed)
+    # clipped; None for an epoch without steps
     grad_norm_p50: float | None = None
     grad_norm_max: float | None = None
     clip_fraction: float | None = None
@@ -243,8 +242,9 @@ def output_gradients(params, h_k, seq, k, negs, lam=0.0, shared_scale=1.0):
     return losses, bundle, np.sum(d_s, axis=0)
 
 
-def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
-    """Propagate dJ/dh_k down the chain k, k-n, ..., accumulating into bundle.
+def bptt_backward(params, seq, path, dJ_dh, bundle):
+    """Propagate dJ/dh_k down the whole chain k, k-n, ..., u0, accumulating
+    into bundle.
 
     ``path`` is the forward pass from hidden_path, whose (layer, offset)
     table of window matrices gives each window term's A and its split, and
@@ -263,24 +263,21 @@ def bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     """
     positions, states, (Z, stack, (lo, hi, w_lo, w_hi)) = path
     depth = len(positions) - 1  # the final entry is layer 0
-    grounded = truncation is None or truncation >= depth
-    depth = depth if grounded else truncation
     gs, Wt = [np.array(dJ_dh)], params.W.T
     for _ in range(depth):
         gs.append(Wt @ gs[-1])
-    if grounded:
-        bundle.u0 += gs[depth]
+    bundle.u0 += gs[-1]
     if not depth:
         return bundle
-    G = np.array(gs[:depth])
+    G = np.array(gs[:-1])
     _ordered_add(bundle.W[None], np.zeros(depth, np.intp),
-                 G[:, :, None] * np.array(states[1:depth + 1])[:, None, :])
+                 G[:, :, None] * np.array(states[1:])[:, None, :])
     # the (depth, offset) pairs whose layer reaches back past the offset,
     # depth-major, offsets in order, with their A^T g, trans entries and weights
-    layers = np.asarray(positions[:depth])
+    layers = np.asarray(positions[:-1])
     t, i = np.nonzero(layers[:, None] > np.arange(stack.shape[1]))
     js = layers[t] - i - 1  # the window events, 0-based
-    Atg = np.matmul(stack[:depth].swapaxes(-1, -2), G[:, None, :, None])[t, i, :, 0]
+    Atg = np.matmul(stack.swapaxes(-1, -2), G[:, None, :, None])[t, i, :, 0]
     ids, wts = np.stack([lo[t, i], hi[t, i]], axis=1), np.stack([w_lo[t, i], w_hi[t, i]], axis=1)
     rows = [bundle.item_vecs[1]]
     for s in range(0, len(t), _BLOCK_ITEMS):  # consecutive blocks keep the order
@@ -312,7 +309,7 @@ def group_gradients(params, seq, k, negs, cfg, shared_scale=1.0):
     if not np.isfinite(losses).all():
         bad = losses[~np.isfinite(losses)][0]
         raise NumericError(f"non-finite loss {bad} at user {seq.user_id} position {k}")
-    bptt_backward(params, seq, path, dJ_dh, bundle, truncation=cfg.bptt_truncation)
+    bptt_backward(params, seq, path, dJ_dh, bundle)
     bundle.item_vecs = _ordered_sum(*bundle.item_vecs)
     lam = cfg.lam * shared_scale * len(negs)
     if lam:
@@ -324,10 +321,9 @@ def group_gradients(params, seq, k, negs, cfg, shared_scale=1.0):
 
 def _train_group(params, seq, k, negs, cfg, shared_scale, eta):
     """One clipped SGD step theta <- theta - eta * g on a group; returns the
-    pre-update pair losses and the gradient's norm before clipping (None
-    without clipping)."""
+    pre-update pair losses and the gradient's norm before clipping."""
     losses, bundle = group_gradients(params, seq, k, negs, cfg, shared_scale)
-    norm = None if cfg.clip_norm is None else bundle.clip(cfg.clip_norm)
+    norm = bundle.clip(cfg.clip_norm)
     for name in ("user_vecs", "item_vecs"):
         idx, G = getattr(bundle, name)
         getattr(params, name)[idx] -= eta * G
@@ -373,7 +369,7 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
             losses.extend(group_losses)
             norms.append(norm)
     telemetry = {}
-    if cfg.clip_norm is not None and norms:
+    if norms:
         norms = np.array(norms)
         telemetry = dict(grad_norm_p50=float(np.median(norms)), grad_norm_max=float(norms.max()),
                          clip_fraction=float(np.mean(norms > cfg.clip_norm)))

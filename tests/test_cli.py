@@ -18,6 +18,7 @@ from rlbl.cli import (
     run_gradcheck,
 )
 from rlbl.data import MAX_BEHAVIORS
+from rlbl.training import TrainConfig
 
 
 SYNTH_CFG = {
@@ -101,8 +102,10 @@ def test_predict_unknown_user_is_config_error(tmp_path, capsys):
     cfg = cfg_with_out(tmp_path)
     main(["train", "--config", str(cfg)])
     snap = str(tmp_path / "out" / "model.snap")
+    capsys.readouterr()
     assert main(["predict", "--snapshot", snap, "--user", "nobody",
                  "--behavior", "0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown user 'nobody'\n"
 
 
 @pytest.mark.parametrize("behavior, top_k", [(2, 3), (99, 3), (-1, 3), (0, 0), (0, -1)])
@@ -259,7 +262,7 @@ def test_nonfinite_model_is_numeric_error(tmp_path, capsys):
     {"eval.cutoffs": 5},
     {"eval.cutoffs": [1, 2.5]},
     {"train.lam": True},
-    {"train.bptt_truncation": "2"},
+    {"train.negatives_per_positive": "2"},
     {"train.clip_norm": "off"},
     {"has_header": "no"},
     # a window of 0 would never ground the recurrent chain
@@ -282,10 +285,10 @@ def test_nested_map_schema_is_config_error(tmp_path, capsys, dataset):
     assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("key", ["epochs", "bptt_truncation", "patience"])
+@pytest.mark.parametrize("key", ["epochs", "negatives_per_positive", "patience"])
 def test_negative_train_counts_are_config_errors(tmp_path, key):
-    # -1 used to train nothing (epochs), act as 0 (truncation) or stop after
-    # the first epoch without a new best (patience), and exit 0
+    # -1 used to train nothing (epochs) or stop after the first epoch
+    # without a new best (patience), and exit 0
     cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
     cfg["out"] = str(tmp_path / "out")
     cfg["train"][key] = -1
@@ -294,7 +297,7 @@ def test_negative_train_counts_are_config_errors(tmp_path, key):
 
 
 @pytest.mark.parametrize("section, values", [
-    ("train", {"lam": 1, "clip_norm": None, "patience": None, "bptt_truncation": 2}),
+    ("train", {"lam": 1, "clip_norm": math.inf, "patience": None}),
     ("dataset", {"timestamp_unit": 0.001, "target_behaviors": [0, 1], "behavior_map": None}),
     ("model", {"bin_width": 600}),
 ])
@@ -347,6 +350,33 @@ def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, key, value
     node[name] = value
     assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    # every step backpropagates down the whole chain
+    ("bptt_truncation", 2, "unknown config key 'train.bptt_truncation'"),
+    # the model kind decides it
+    ("train_behavior_mats", False, "unknown config key 'train.train_behavior_mats'"),
+    # .inf trains unclipped
+    ("clip_norm", None, "config key 'train.clip_norm' must be of type float: None"),
+], ids=["bptt_truncation", "train_behavior_mats", "clip_norm"])
+def test_removed_train_settings_exit_2_before_any_output(tmp_path, capsys, key, value, error):
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    cfg["train"][key] = value
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl", "linear-rnn"])
+def test_train_section_defaults_are_train_config_defaults(tmp_path, kind):
+    # but for the CLI's own epochs and patience, the run's seed, and the
+    # behavior matrices, which train unless the model is the linear RNN
+    cfg = load_config(write_cfg(tmp_path, {"model": {"kind": kind}, "seed": 4}))
+    assert cli.train_config(cfg) == TrainConfig(epochs=10, rng_seed=4,
+                                                train_behavior_mats=kind != "linear-rnn")
+    assert cfg["train"]["patience"] == 5
 
 
 def _nan_model_snapshot(tmp_path):

@@ -2,7 +2,8 @@
 
 The quick demos run to completion. Demos 04 and 05 and the MovieLens
 reproduction train for tens of seconds or need the dataset, so they stay
-out of the suite; every demo's imports from rlbl are resolved instead.
+out of the suite (CI runs 04 and 05 in a step of their own); every demo's
+imports from rlbl are resolved instead.
 """
 
 import ast

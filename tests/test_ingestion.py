@@ -188,6 +188,17 @@ def test_write_generic_rejects_delimiter_in_field(tmp_path):
         write_generic([Event("a\tb", "i", 0, 1)], tmp_path / "x.tsv")
 
 
+@pytest.mark.parametrize("user, item", [("u\r1", "i0"), ("u0", "i\n2")])
+def test_write_generic_rejects_line_breaks_in_fields(tmp_path, user, item):
+    # a line break splits the event's line; in a log of 302 events the broken
+    # lines stay under parse_generic's 1% malformed limit, so the log would
+    # read back short without an error ("u\r1" even leaves a user "1")
+    events = [Event(f"u{t % 3}", f"i{t % 7}", 0, t) for t in range(301)]
+    events.append(Event(user, item, 0, 301))
+    with pytest.raises(FormatError, match="line break"):
+        write_generic(events, tmp_path / "x.tsv")
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def test_synth_deterministic():

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlbl import scoring
+from rlbl.baselines import MarkovModel, PopModel
 from rlbl.evaluation import evaluate, report_table
 from rlbl.ingestion import SynthSpec, synth_corpus
 from rlbl.model import NumericError, RlblParams, hidden_chain, init_rlbl_params, score_all_items
 from rlbl.scoring import finite_scores, scorer_for, top_k_items
+from rlbl.time_aware import init_ta_rlbl_params
 from tests.test_model import make_seq, quarter_hour_seq, random_ta_params
 from tests.test_time_aware import ta_case
 
@@ -68,6 +70,18 @@ def test_a_reused_scorer_scores_another_corpus_afresh(monkeypatch):
                         lambda *args: calls.append(args) or hidden_chain(*args))
     evaluate(scorer, b)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl", "pop", "markov"])
+def test_no_positions_score_an_empty_block(kind):
+    c = synth_corpus(SynthSpec(n_users=3, n_items=8, seq_len_range=(6, 6), rng_seed=3))
+    dims = (c.n_users, c.n_items, c.n_behaviors)
+    params = {"rlbl": lambda: init_rlbl_params(*dims, d=3, n=2, seed=5),
+              "ta-rlbl": lambda: init_ta_rlbl_params(*dims, d=3, n=2, bin_width=3600.0,
+                                                     n_bins=4, seed=5),
+              "pop": lambda: PopModel(c), "markov": lambda: MarkovModel(c)}[kind]()
+    block = scorer_for(params).score_positions(c.sequences[0], [], [])
+    assert block.shape == (0, c.n_items)
 
 
 class RowScorer:

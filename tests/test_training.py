@@ -257,33 +257,6 @@ def test_gradient_check_rejects_a_group_that_is_not_the_sequences_target():
         gradient_check(p, seq, 5, [])
 
 
-def test_truncation_full_depth_matches_untruncated():
-    c = tiny_corpus(seed=6)
-    p = tiny_params(c, seed=6)
-    cfg_full = TrainConfig(lam=0.01, learning_rate=0.1, bptt_truncation=None)
-    cfg_deep = TrainConfig(lam=0.01, learning_rate=0.1, bptt_truncation=100)
-    inst = an_instance(c, user=0, k=8)
-    a = gradients(p, c.sequences[0], inst, cfg_full)
-    b = gradients(p, c.sequences[0], inst, cfg_deep)
-    assert np.array_equal(a.W, b.W)
-    assert np.array_equal(a.trans, b.trans)
-    assert np.array_equal(a.u0, b.u0)
-
-
-def test_truncation_zero_keeps_only_output_layer():
-    c = tiny_corpus(seed=7)
-    p = tiny_params(c, seed=7)
-    cfg = TrainConfig(lam=0.0, learning_rate=0.1, bptt_truncation=0)
-    inst = an_instance(c, user=0, k=8)
-    b = gradients(p, c.sequences[0], inst, cfg)
-    assert np.array_equal(b.W, np.zeros_like(b.W))
-    assert np.array_equal(b.trans, np.zeros_like(b.trans))
-    assert np.array_equal(b.u0, np.zeros_like(b.u0))
-    # output-layer pieces are still present
-    assert b.user_vecs[0].tolist() == [inst.user_id]
-    assert not np.array_equal(b.M, np.zeros_like(b.M))
-
-
 # --- updates ---------------------------------------------------------------
 
 def test_pure_regularization_step_is_shrinkage():
@@ -379,7 +352,7 @@ def test_epoch_report_counts():
     assert rep.mean_step_size == pytest.approx(0.01)
 
 
-@pytest.mark.parametrize("clip_norm", [None, 1e-3, 0.05, 1e6])
+@pytest.mark.parametrize("clip_norm", [math.inf, 1e-3, 0.05, 1e6])
 def test_epoch_report_gradient_telemetry(monkeypatch, clip_norm):
     c = tiny_corpus(n_users=3, length=10, seed=26)
     cfg = TrainConfig(learning_rate=0.05, clip_norm=clip_norm)
@@ -399,15 +372,11 @@ def test_epoch_report_gradient_telemetry(monkeypatch, clip_norm):
     assert rep.mean_loss == ref_rep.mean_loss
     for name in ("user_vecs", "item_vecs", "W", "C", "M", "u0"):
         assert np.array_equal(getattr(p, name), getattr(ref, name)), name
-    if clip_norm is None:
-        assert seen == []
-        assert rep.grad_norm_p50 is rep.grad_norm_max is rep.clip_fraction is None
-        return
     assert len(seen) == rep.n_instances  # one step per pair at 1 negative
     assert rep.grad_norm_p50 == np.median(seen)
     assert rep.grad_norm_max == max(seen)
     assert rep.clip_fraction == sum(x > clip_norm for x in seen) / len(seen)
-    if clip_norm in (1e-3, 1e6):  # every step clipped, or none
+    if clip_norm != 0.05:  # every step clipped, or none
         assert rep.clip_fraction == (clip_norm == 1e-3)
 
 
@@ -428,12 +397,12 @@ def test_config_validation():
         TrainConfig(negatives_per_positive=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(bptt_truncation=-1)
     for key in ("lam", "learning_rate", "lr_decay", "clip_norm"):
         with pytest.raises(ValueError):
             TrainConfig(**{key: math.nan})
-    TrainConfig(epochs=0, bptt_truncation=0)
+    with pytest.raises(ValueError):
+        TrainConfig(clip_norm=0.0)
+    TrainConfig(epochs=0, clip_norm=math.inf)
 
 
 # --- the stacked output layer and the bundle's sparse rows -------------------
@@ -623,7 +592,7 @@ def test_ordered_add_adds_each_term_in_turn(seed):
     assert np.array_equal(np.signbit(acc), np.signbit(want))
 
 
-def per_item_bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
+def per_item_bptt_backward(params, seq, path, dJ_dh, bundle):
     """The BPTT sweep one window item at a time, every sum in loop order and
     the item rows in a dict: the reference that the stacked bptt_backward,
     its item-row terms summed by _ordered_sum, must match bit for bit."""
@@ -632,8 +601,6 @@ def per_item_bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
     item_rows = row_dict(bundle.item_vecs)
     g = np.array(dJ_dh)
     for depth, p in enumerate(positions[:-1]):
-        if truncation is not None and depth >= truncation:
-            break
         for i in range(min(p, stack.shape[1])):
             j = p - i - 1
             v, b = int(seq.items[j]), int(seq.behaviors[j])
@@ -646,8 +613,7 @@ def per_item_bptt_backward(params, seq, path, dJ_dh, bundle, truncation=None):
             bundle.M[b] += np.outer(Atg, params.item_vecs[v])
         bundle.W += np.outer(g, states[depth + 1])
         g = params.W.T @ g
-    else:
-        bundle.u0 += g
+    bundle.u0 += g
     bundle.item_vecs = as_rows(item_rows, params.d)
     return bundle
 
@@ -669,26 +635,29 @@ def test_group_gradients_asks_the_provider_once(ta, monkeypatch):
 
 @pytest.mark.parametrize("ta", [False, True])
 @pytest.mark.parametrize("n", [1, 3, 6])
-@pytest.mark.parametrize("truncation", [None, 0, 1, 2, 50])
-def test_bptt_backward_matches_the_per_item_loop(ta, n, truncation):
+@pytest.mark.parametrize("depth", [None, 0, 1, 2, 50])
+def test_bptt_backward_matches_the_per_item_loop(ta, n, depth):
+    # depth counts the chain layers the sweep runs down: every context
+    # position whose chain is that deep, or None for the last position
     c = tiny_corpus(n_items=6, length=300, seed=25)  # 6 items over 300 events: items repeat
     p = tiny_params(c, d=5, n=n, ta=ta, seed=25)
     rng = np.random.default_rng(25)
     for arr in (p.W, p.trans, p.M):
         arr += rng.normal(scale=0.3, size=arr.shape)  # off identity, so the sums round
     seq = c.sequences[1]
-    # k < n grounds below a full window; k = 299 scatters 299 window items
-    ks = (1, 2, n - 1, n, 13, 29, 299)
-    for k in sorted({k for k in ks if k >= 1}):
+    # depth 0 is u0 alone; below k = d * n the chain grounds below a full window
+    ks = [len(seq) - 1] if depth is None else range(max((depth - 1) * n + 1, 0), depth * n + 1)
+    for k in ks:
         path = hidden_path(p, seq, k)
-        if n > 1 and k == 13:
-            assert len(set(seq.items[k - n:k].tolist())) < n  # a window item repeats
+        assert len(path[0]) - 1 == (depth if depth is not None else -(-k // n))
+        if n > 1 and depth is None:  # a window item repeats
+            assert any(len(set(seq.items[j - n:j].tolist())) < n for j in path[0][:-2])
         dJ_dh = rng.normal(size=p.d)
         got, want = GradientBundle.zeros_like(p), GradientBundle.zeros_like(p)
         for b in (got, want):  # a row term already present, as the output layer leaves it
             b.item_vecs = np.array([seq.items[0]]), (np.arange(p.d) - 2.0)[None]
-        bptt_backward(p, seq, path, dJ_dh, got, truncation)
-        per_item_bptt_backward(p, seq, path, dJ_dh, want, truncation)
+        bptt_backward(p, seq, path, dJ_dh, got)
+        per_item_bptt_backward(p, seq, path, dJ_dh, want)
         got.item_vecs = _ordered_sum(*got.item_vecs)
         assert_bundles_identical(got, want)
 
@@ -712,21 +681,19 @@ def reference_epoch(params, corpus, cfg, rng):
             path = hidden_path(params, seq, k)
             step_losses, b, dJ_dh = per_pair_output_gradients(
                 params, path[1][0], seq, k, negs, cfg.lam, shared_scale)
-            per_item_bptt_backward(params, seq, path, dJ_dh, b, cfg.bptt_truncation)
+            per_item_bptt_backward(params, seq, path, dJ_dh, b)
             lam = cfg.lam * shared_scale * m
             if lam:
                 b.W += lam * params.W
                 b.trans += lam * params.trans
                 b.u0 += lam * params.u0
-            tensors = bundle_tensors(b)
-            if cfg.clip_norm is not None:
-                sq = 0.0
+            tensors, sq = bundle_tensors(b), 0.0
+            for g in tensors:
+                sq += float(np.sum(g * g))
+            norms.append(math.sqrt(sq))
+            if norms[-1] > cfg.clip_norm:
                 for g in tensors:
-                    sq += float(np.sum(g * g))
-                norms.append(math.sqrt(sq))
-                if norms[-1] > cfg.clip_norm:
-                    for g in tensors:
-                        g *= cfg.clip_norm / norms[-1]
+                    g *= cfg.clip_norm / norms[-1]
             for name in ("user_vecs", "item_vecs"):
                 for i, g in zip(*getattr(b, name)):
                     getattr(params, name)[i] -= eta * g
@@ -740,7 +707,7 @@ def reference_epoch(params, corpus, cfg, rng):
 
 @pytest.mark.parametrize("ta", [False, True])
 @pytest.mark.parametrize("m", [1, 8])
-@pytest.mark.parametrize("clip_norm", [5.0, None])
+@pytest.mark.parametrize("clip_norm", [5.0, math.inf])
 def test_sgd_epoch_matches_the_reference_steps(ta, m, clip_norm):
     c = tiny_corpus(seed=27)
     cfg = TrainConfig(learning_rate=0.05, negatives_per_positive=m, clip_norm=clip_norm)
@@ -751,14 +718,12 @@ def test_sgd_epoch_matches_the_reference_steps(ta, m, clip_norm):
     losses, norms = reference_epoch(want, c, cfg, np.random.default_rng(27))
     for name in ("user_vecs", "item_vecs", "W", "trans", "M", "u0"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    telemetry = {}
-    if clip_norm is not None:
-        telemetry = dict(grad_norm_p50=float(np.median(norms)), grad_norm_max=max(norms),
-                         clip_fraction=float(np.mean(np.array(norms) > clip_norm)))
-        assert 0 < telemetry["clip_fraction"] < 1
+    clip_fraction = float(np.mean(np.array(norms) > clip_norm))
+    assert 0 < clip_fraction < 1 if clip_norm == 5.0 else clip_fraction == 0
     assert rep == EpochReport(mean_loss=float(np.mean(losses)), n_instances=len(losses),
                               n_skipped=0, mean_step_size=cfg.learning_rate,
-                              wall_time=rep.wall_time, **telemetry)
+                              wall_time=rep.wall_time, grad_norm_p50=float(np.median(norms)),
+                              grad_norm_max=max(norms), clip_fraction=clip_fraction)
 
 
 # --- names the benchmark traces ------------------------------------------------
