@@ -99,6 +99,8 @@ def build_corpus(events, split_fracs=(0.7, 0.1)):
     with fewer than MIN_EVENTS_PER_USER events are excluded and counted in
     the report. Split cuts fall at floor(len * f1) and floor(len * (f1 + f2)).
     """
+    if len(split_fracs) != 2:
+        raise ValueError(f"split must be exactly two fractions (train, validation): {split_fracs}")
     f1, f2 = split_fracs
     if not (0 < f1 < 1 and 0 < f2 < 1 and f1 + f2 < 1):
         raise ValueError(f"split fractions must lie in (0,1) and sum below 1: {split_fracs}")

@@ -3,10 +3,15 @@
 Each test position contributes exactly one relevant item (the next
 selected item), so precision@k = recall@k / k, F1@k = 2 recall@k / (k+1)
 and average precision = 1/rank. Ties in the score vector break by item
-index for reproducibility. Reports carry per-length-bucket breakdowns.
+index for reproducibility. Every metric comes from an array of the targets'
+1-based ranks, the only per-position record, and each mean divides an exact
+sum (a hit count, or ``math.fsum`` of 1/rank) by the number of positions,
+so user order does not change a bit. Reports carry per-length-bucket
+breakdowns.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +34,13 @@ class EvalConfig:
 
     def __post_init__(self):
         cuts = tuple(self.cutoffs)
-        if not cuts or any(c <= 0 for c in cuts) or list(cuts) != sorted(cuts):
-            raise ValueError(f"cutoffs must be positive and sorted: {self.cutoffs}")
+        ints = all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in cuts)
+        if not cuts or not ints or cuts[0] < 1 or any(a >= b for a, b in zip(cuts, cuts[1:])):
+            raise ValueError(f"cutoffs must be strictly increasing positive integers: {cuts}")
         self.cutoffs = cuts
         t = tuple(self.bucket_thresholds)
-        if len(t) != 2 or not t[0] < t[1]:
+        reals = all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in t)
+        if len(t) != 2 or not reals or not t[0] < t[1]:
             raise ValueError(f"bucket thresholds must be two, strictly increasing: {t}")
         if self.target_behaviors is not None:
             self.target_behaviors = frozenset(int(b) for b in self.target_behaviors)
@@ -65,19 +72,21 @@ def rank_of_target(scores, target):
 
 def instance_metrics(rank, cutoffs):
     """Per-cutoff (recall, F1) plus average precision for one instance."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1: {rank}")
-    recall = {k: 1.0 if rank <= k else 0.0 for k in cutoffs}
-    f1 = {k: 2.0 * recall[k] / (k + 1) for k in cutoffs}
-    return recall, f1, 1.0 / rank
+    report = _aggregate([rank], cutoffs)
+    return report.recall, report.f1, report.map
 
 
-def _aggregate(instances, cutoffs):
-    n = len(instances)
-    recall = {k: math.fsum(r[k] for r, _, _ in instances) / n for k in cutoffs}
-    f1 = {k: math.fsum(f[k] for _, f, _ in instances) / n for k in cutoffs}
-    ap = math.fsum(a for _, _, a in instances) / n
-    return RankingReport(recall=recall, f1=f1, map=ap, n_instances=n)
+def _aggregate(ranks, cutoffs):
+    """Mean recall@k, F1@k and MAP of 1-based ranks (an array or a list); hits
+    times 2/(k+1) is the correctly rounded sum of that many per-position F1s."""
+    ranks = np.asarray(ranks)
+    if not np.all(ranks >= 1):  # NaN fails too
+        raise ValueError(f"rank must be >= 1: {ranks.min()}")
+    n = len(ranks)
+    hits = {k: int(np.count_nonzero(ranks <= k)) for k in cutoffs}
+    return RankingReport(recall={k: hits[k] / n for k in cutoffs},
+                         f1={k: hits[k] * (2.0 / (k + 1)) / n for k in cutoffs},
+                         map=math.fsum((1.0 / ranks).tolist()) / n, n_instances=n)
 
 
 def eval_positions(corpus, user_id, config):
@@ -106,7 +115,7 @@ def evaluate(scorer, corpus, config=None):
     if config is None:
         config = EvalConfig()
 
-    all_instances, by_bucket = [], {}
+    all_ranks, by_bucket = [], {}
     for u, seq in enumerate(corpus.sequences):
         ks = eval_positions(corpus, u, config)
         if not len(ks):
@@ -119,17 +128,16 @@ def evaluate(scorer, corpus, config=None):
             seen = first < ks[:, None]
             seen[np.arange(len(ks)), targets] = False
             block = np.where(seen, -np.inf, block)
-        metrics = [instance_metrics(int(rank), config.cutoffs)
-                   for rank in ranks_of_targets(block, targets)]
-        all_instances += metrics
-        by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).extend(metrics)
-    if not all_instances:
+        ranks = ranks_of_targets(block, targets)
+        all_ranks.append(ranks)
+        by_bucket.setdefault(length_bucket(seq, config.bucket_thresholds), []).append(ranks)
+    if not all_ranks:
         raise EmptyEval("no qualifying test instance")
 
-    report = _aggregate(all_instances, config.cutoffs)
+    report = _aggregate(np.concatenate(all_ranks), config.cutoffs)
     for bucket in ("short", "medium", "long"):
         if bucket in by_bucket:
-            report.buckets[bucket] = _aggregate(by_bucket[bucket], config.cutoffs)
+            report.buckets[bucket] = _aggregate(np.concatenate(by_bucket[bucket]), config.cutoffs)
     return report
 
 

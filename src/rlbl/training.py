@@ -26,6 +26,7 @@ matrices, with the interpolation weights, for TA-RLBL).
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -61,6 +62,13 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        for names, kind, what in (
+                (("lam", "learning_rate", "lr_decay", "clip_norm"), numbers.Real, "a real number"),
+                (("negatives_per_positive", "epochs"), numbers.Integral, "an integer")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}: {value!r}")
         # written so that NaN fails every range check
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and >= 0")

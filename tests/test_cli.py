@@ -333,6 +333,7 @@ NAN, INF = math.nan, math.inf
     ("dataset.timestamp_unit", INF),
     ("eval.buckets", [200, 50]),
     ("split", [0.9, 0.2]),
+    ("eval.cutoffs", [1, 1, 5]),
 ])
 def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, key, value):
     cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
@@ -349,6 +350,18 @@ def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, key, value
         node = node.setdefault(section, {})
     node[name] = value
     assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("split, shown", [([0.5], "(0.5,)"), ([], "()"),
+                                          ([0.7, 0.1, 0.1], "(0.7, 0.1, 0.1)")])
+def test_split_of_the_wrong_length_exits_2_before_any_output(tmp_path, capsys, split, shown):
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    cfg["split"] = split
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: split must be exactly two fractions (train, validation): {shown}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,8 +96,9 @@ def test_f1_at_1_equals_recall_at_1():
 
 
 def test_instance_metrics_bad_rank():
-    with pytest.raises(ValueError):
-        instance_metrics(0, (1,))
+    for rank in (0, -3, 0.5, math.nan):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            instance_metrics(rank, (1,))
 
 
 class FixedScorer:
@@ -314,6 +316,26 @@ def test_batched_evaluate_matches_the_per_position_loop(segment, target_behavior
                 == per_position_table(params, c, config))
 
 
+@pytest.mark.parametrize("segment", ["valid", "test"])
+def test_report_does_not_depend_on_user_order(segment):
+    # every mean divides an exact sum, so users may be regrouped (by length,
+    # say) without changing a bit of the report
+    events = [Event(f"u{u}", f"i{(t * (u + 2)) % 11 if t % 3 else 11 + t % 5}", t % 2, t)
+              for u, length in enumerate((20, 260, 45, 90, 230, 35, 120)) for t in range(length)]
+    c = build_corpus(events)
+    perm = np.random.default_rng(20).permutation(c.n_users)
+    assert list(perm) != sorted(perm)
+    shuffled = dataclasses.replace(
+        c, sequences=[c.sequences[u] for u in perm], train_end=c.train_end[perm],
+        valid_end=c.valid_end[perm], user_ids=[c.user_ids[u] for u in perm])
+    params = random_params(n_users=c.n_users, n_items=c.n_items, n_behaviors=c.n_behaviors, seed=21)
+    for exclude_seen in (False, True):
+        config = EvalConfig(segment=segment, exclude_seen=exclude_seen)
+        report = evaluate(scorer_for(params), c, config)
+        assert set(report.buckets) == {"short", "medium", "long"}
+        assert report_table(evaluate(scorer_for(params), shuffled, config)) == report_table(report)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(cutoffs=(5, 1))
@@ -323,3 +345,13 @@ def test_config_validation():
         EvalConfig(cutoffs=(0, 1))
     with pytest.raises(ValueError, match="segment"):
         EvalConfig(segment="tset")
+    # cutoffs are strictly increasing positive integers; a bool is none
+    for cutoffs in ((1, math.nan), (1, 1, 5), (1, 2.5), (True, 2), (1.0, 2), (1, None)):
+        with pytest.raises(ValueError, match="cutoffs must be strictly increasing positive"):
+            EvalConfig(cutoffs=cutoffs)
+    # and the two bucket thresholds strictly increasing real numbers
+    for thresholds in ((None, 5), (math.nan, 5), (5, 5), (False, 5), (1, 5, 9), ("1", 5)):
+        with pytest.raises(ValueError, match="bucket thresholds"):
+            EvalConfig(bucket_thresholds=thresholds)
+    # numpy scalars pass
+    EvalConfig(cutoffs=(np.int64(1), np.int32(5)), bucket_thresholds=(np.float64(2.5), 9))

@@ -403,6 +403,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
     TrainConfig(epochs=0, clip_norm=math.inf)
+    # the rates must be real numbers and the counts integers; a bool is neither
+    for key, what in (("lam", "a real number"), ("learning_rate", "a real number"),
+                      ("lr_decay", "a real number"), ("clip_norm", "a real number"),
+                      ("negatives_per_positive", "an integer"), ("epochs", "an integer")):
+        for value in (None, True, "5"):
+            with pytest.raises(ValueError, match=f"^{key} must be {what}: "):
+                TrainConfig(**{key: value})
+    for key, value in (("negatives_per_positive", 2.5), ("epochs", 1.5)):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer: {value}$"):
+            TrainConfig(**{key: value})
+    # numpy scalars pass
+    TrainConfig(lam=np.float64(0.01), clip_norm=np.float32(5), lr_decay=np.int64(0),
+                negatives_per_positive=np.int64(2), epochs=np.int32(1))
 
 
 # --- the stacked output layer and the bundle's sparse rows -------------------
