@@ -131,6 +131,9 @@ def load_config(path, seed_override=None, out_override=None):
     if not all(type(b) is int and 0 <= b < MAX_BEHAVIORS for b in behavior_ids):
         raise ConfigError(f"dataset.behavior_map values must be ints in "
                           f"[0, {MAX_BEHAVIORS}): {ds['behavior_map']!r}")
+    if not all(0 <= b < MAX_BEHAVIORS for b in ds["target_behaviors"] or ()):
+        raise ConfigError(f"dataset.target_behaviors must be ints in "
+                          f"[0, {MAX_BEHAVIORS}): {ds['target_behaviors']!r}")
     if ds["format"] not in ("movielens", "generic", "synthetic"):
         raise ConfigError(f"unknown dataset format {ds['format']!r}")
     if ds["format"] != "synthetic" and not ds["path"]:

@@ -8,6 +8,7 @@ transitions so that a correct learner is verifiably better than chance.
 """
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,11 @@ class SynthSpec:
         for p in (self.markov_strength, self.behavior_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability out of [0,1]: {p}")
+        cyc = self.cycle_len
+        if cyc is not None and (isinstance(cyc, bool) or not isinstance(cyc, numbers.Integral)
+                                or not 1 <= cyc <= self.n_items):
+            raise ValueError(f"cycle_len must be null or an integer in "
+                             f"[1, n_items={self.n_items}]: {cyc!r}")
 
 
 def _planted_permutation(n_items, cycle_len, rng):

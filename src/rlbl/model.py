@@ -21,11 +21,13 @@ offsets i and gives each pair's matrix in a (..., d, d) stack, with the
 (lo, hi, w_lo, w_hi) arrays of the ``trans`` entries each matrix's
 gradient splits over (``trans`` is C here, the boundary matrices for TA-RLBL).
 
-The forward computes M_b r_v once per event and the window terms from
-one provider call per offset (hidden_chain) or per chain (hidden_path,
-whose (layer, offset) table the BPTT sweep reads back), then adds W h_prev
-and the terms in offset order. Batched matrix-vector products use stacked
-``np.matmul``, which gives the bits of one ``A @ z`` each (a 2-D gemm does not).
+The forward computes M_b r_v once per event. One builder, _window_terms,
+turns a table of layer positions into each layer's window terms with one
+provider call; one recurrence, _recur, adds W h_prev and the terms in
+offset order, row by row. hidden_path runs them on one anchored chain (the
+BPTT sweep reads its stack back); hidden_chain on every position, n lanes
+to a row. Batched matrix-vector products use stacked ``np.matmul``, which
+gives the bits of one ``A @ z`` each (a 2-D gemm does not).
 """
 
 from dataclasses import dataclass
@@ -141,25 +143,49 @@ def prefix_products(params, seq, upto):
     return _matvecs(params.M[seq.behaviors[:upto]], params.item_vecs[seq.items[:upto]])
 
 
+# positions per hidden_chain block, which bounds the window stacks it asks for
+_BLOCK_LAYERS = 128
+
+
+def _window_terms(params, seq, Z, layers):
+    """Term table of the int array ``layers`` (rows, lanes...): T[r, 0] is left
+    for W h_prev and T[r, 1 + i] holds offset i's window term, shaped (rows,
+    1 + offsets, lanes..., d); with it the stack and split of the one
+    windows() call. A layer that does not reach back past an offset gets
+    -0.0 there (x + -0.0 == x; its Z row wraps)."""
+    offsets = np.arange(min(params.n, Z.shape[0]))
+    L, i = layers[:, None], offsets[(...,) + (None,) * (layers.ndim - 1)]  # i ahead of the lanes
+    stack, split = params.windows(seq, L, i)
+    T = np.empty(layers.shape[:1] + (offsets.size + 1,) + layers.shape[1:] + (params.d,))
+    T[:, 1:] = np.where((L > i)[..., None], _matvecs(stack, Z[L - i - 1]), -0.0)
+    return T, stack, split
+
+
+def _recur(W, h0, T):
+    """States h0 and one per row of T: row[0] takes W times the state before
+    it, and the row folds in offset order; lanes recur side by side."""
+    states = [h0]
+    for row in T:
+        np.matmul(W, states[-1], out=row[0])
+        states.append(fold_rows(row))
+    return states
+
+
 def hidden_chain(params, seq, upto):
-    """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0), n
-    positions per step: block s..s+n-1 recurs on the block before it."""
+    """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0), one row
+    of n lanes (positions s..s+n-1) per recurrence step, with the window terms
+    built _BLOCK_LAYERS positions at a time. The lanes follow the offset axis,
+    as np.add.reduce sums a contiguous axis pairwise (d = 1). The last row's
+    padding lanes repeat position upto and are dropped."""
     _check_position(seq, upto)
-    n, d = params.n, params.d
-    H = np.empty((upto + 1, d))
-    H[0] = params.u0
-    Z, P = prefix_products(params, seq, upto), np.arange(1, upto + 1)
-    # offset i's terms at positions i+1..upto; each stack is dropped once used
-    terms = [_matvecs(params.windows(seq, P[i:], i)[0], Z[:upto - i])
-             for i in range(min(n, upto))]
-    Wn, H3 = np.broadcast_to(params.W, (n, d, d)), H[:, :, None]
-    for s in range(1, upto + 1, n):
-        e = min(s + n, upto + 1)
-        np.matmul(Wn[:e - s], H3[s - n:e - n] if s > n else H3[:1], out=H3[s:e])
-        for i, T in enumerate(terms):
-            lo = max(s, i + 1)  # offset i reaches back from positions above i
-            H[lo:e] += T[lo - i - 1:e - i - 1]
-    return H
+    n, rows = params.n, -(-upto // params.n)
+    step = max(1, _BLOCK_LAYERS // n)  # rows per block
+    P = np.minimum(np.arange(1, rows * n + 1), upto).reshape(rows, n)
+    Z, states = prefix_products(params, seq, upto), [params.u0[:, None]]
+    for r in range(0, rows, step):
+        T = _window_terms(params, seq, Z, P[r:r + step])[0]
+        states += _recur(params.W, states[-1], T[..., None])[1:]
+    return np.vstack([params.u0, np.reshape(states[1:], (-1, params.d))])[:upto + 1]
 
 
 def hidden_path(params, seq, k):
@@ -175,17 +201,9 @@ def hidden_path(params, seq, k):
     """
     _check_position(seq, k)
     chain = list(range(k, 0, -params.n))
-    Z, layers = prefix_products(params, seq, k), np.array(chain, dtype=np.int64)[:, None]
-    offsets = np.arange(min(params.n, k))
-    stack, split = params.windows(seq, layers, offsets)
-    # layer r adds up row r of T: W h_prev, then the window terms in offset order;
-    # the grounding layer's missing terms are -0.0 (x + -0.0 == x; their Z rows wrap)
-    T = np.empty((len(chain), len(offsets) + 1, params.d))
-    T[:, 1:] = np.where((layers > offsets)[..., None], _matvecs(stack, Z[layers - offsets - 1]), -0.0)
-    W, states = params.W, [params.u0]
-    for row in T[::-1]:
-        np.matmul(W, states[-1], out=row[0])
-        states.append(fold_rows(row))
+    Z = prefix_products(params, seq, k)
+    T, stack, split = _window_terms(params, seq, Z, np.array(chain, dtype=np.int64))
+    states = _recur(params.W, params.u0, T[::-1])  # from the grounding layer up
     return chain + [0], states[::-1], (Z, stack, split)
 
 

@@ -334,6 +334,10 @@ NAN, INF = math.nan, math.inf
     ("eval.buckets", [200, 50]),
     ("split", [0.9, 0.2]),
     ("eval.cutoffs", [1, 1, 5]),
+    ("dataset.synth.cycle_len", -1),
+    ("dataset.synth.cycle_len", 13),
+    ("dataset.target_behaviors", [-1]),
+    ("dataset.target_behaviors", [1024]),
 ])
 def test_bad_config_values_exit_2_before_any_output(tmp_path, capsys, key, value):
     cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))

@@ -305,3 +305,8 @@ def test_spec_validation():
         SynthSpec(markov_strength=1.5)
     with pytest.raises(ValueError):
         SynthSpec(seq_len_range=(9, 5))
+    for cycle_len in (0, -1, 7, 2.5, True):
+        with pytest.raises(ValueError, match=f"cycle_len .*: {cycle_len!r}"):
+            SynthSpec(n_items=6, cycle_len=cycle_len)
+    for cycle_len in (None, 1, 6, np.int64(3)):
+        assert SynthSpec(n_items=6, cycle_len=cycle_len).cycle_len == cycle_len

@@ -3,6 +3,7 @@ import pytest
 
 from rlbl.data import UserSequence
 from rlbl.model import (
+    _BLOCK_LAYERS,
     PositionError,
     RlblParams,
     hidden_at,
@@ -273,8 +274,9 @@ def assert_forward_matches_reference(params, seq):
 @pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_batched_forward_is_bit_identical_to_per_position_loop(kind, n):
-    # every length from 0 to 3n+2: k < n, k = n and k a multiple of n included
-    for length in range(3 * n + 3):
+    # every length from 0 to 3n+2: k < n, k = n and k a multiple of n included;
+    # and one past two of hidden_chain's blocks, whose last row is padded
+    for length in [*range(3 * n + 3), 2 * _BLOCK_LAYERS + n + 1]:
         seed = 100 * n + length
         if kind == "rlbl":
             params = random_params(d=5, n=n, seed=seed)
@@ -283,6 +285,23 @@ def test_batched_forward_is_bit_identical_to_per_position_loop(kind, n):
             params = random_ta_params(d=5, n=n, n_bins=4, seed=seed)
             seq = quarter_hour_seq(params, length, seed=seed + 1)
         assert_forward_matches_reference(params, seq)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_hidden_chain_asks_the_provider_for_bounded_stacks(monkeypatch, n):
+    # a long TA-RLBL sequence: one stack per offset would hold 2,000 matrices
+    params = random_ta_params(d=3, n=n, n_bins=4, seed=40 + n)
+    seq = quarter_hour_seq(params, 2000, seed=41)
+    sizes, windows = [], params.windows
+
+    def counted(seq, layers, i):
+        sizes.append(np.broadcast(layers, i).size)
+        return windows(seq, layers, i)
+
+    monkeypatch.setattr(params, "windows", counted)
+    hidden_chain(params, seq, len(seq))
+    assert sum(sizes) >= len(seq) * n - n * n  # every (position, offset) pair is asked for
+    assert max(sizes) <= _BLOCK_LAYERS * n
 
 
 @pytest.mark.parametrize("n", [1, 9, 12])
