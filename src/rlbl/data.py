@@ -8,6 +8,8 @@ sequence into train / validation / test segments and builds the corpus
 with :meth:`Corpus.from_arrays`, the one constructor of user sequences.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +53,28 @@ class UserSequence:
         return len(self.items)
 
 
+class SequenceColumns(Sequence):
+    """The users' sequences over flat event columns: user u's sequence holds
+    views of ``offsets[u]:offsets[u + 1]`` and is built when it is first read,
+    then kept, so that reading it twice gives the same object."""
+
+    def __init__(self, offsets, items, behaviors, timestamps):
+        self._columns = items, behaviors, timestamps
+        self._bounds = offsets.tolist()
+        self._built = [None] * (len(self._bounds) - 1)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, u):
+        u = range(len(self._built))[operator.index(u)]  # negative ids; IndexError past the end
+        seq = self._built[u]
+        if seq is None:
+            lo, hi = self._bounds[u], self._bounds[u + 1]
+            seq = self._built[u] = UserSequence(u, *(c[lo:hi] for c in self._columns))
+        return seq
+
+
 @dataclass
 class BuildReport:
     n_events_in: int = 0
@@ -62,13 +86,15 @@ class BuildReport:
 class Corpus:
     """Indexed user sequences with vocabularies and per-user split cuts.
 
-    ``train_end[u]`` / ``valid_end[u]`` are counts of events: the first
-    ``train_end[u]`` events of user ``u`` are the training segment, the next
-    ``valid_end[u] - train_end[u]`` the validation segment, the rest test.
-    Immutable after construction.
+    ``sequences`` holds user u's UserSequence at index u: a list, or the
+    SequenceColumns of from_arrays, which builds a user's views on first
+    access. ``train_end[u]`` / ``valid_end[u]`` are counts of events: the
+    first ``train_end[u]`` events of user ``u`` are the training segment, the
+    next ``valid_end[u] - train_end[u]`` the validation segment, the rest
+    test. Immutable after construction.
     """
 
-    sequences: list
+    sequences: Sequence
     n_users: int
     n_items: int
     n_behaviors: int
@@ -83,10 +109,9 @@ class Corpus:
                     n_items, n_behaviors, user_ids, item_ids, report=None):
         """The corpus over flat int64 event arrays sorted by user, then time:
         user u's events are ``offsets[u]:offsets[u + 1]``, and its sequence
-        holds views into the arrays (a Corpus is immutable)."""
-        bounds = offsets.tolist()
-        sequences = [UserSequence(u, items[lo:hi], behaviors[lo:hi], timestamps[lo:hi])
-                     for u, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+        holds views into the arrays (a Corpus is immutable). A sequence is
+        built on first access, so a corpus costs one user until more are read."""
+        sequences = SequenceColumns(offsets, items, behaviors, timestamps)
         return cls(sequences, len(sequences), n_items, n_behaviors, train_end, valid_end,
                    list(user_ids), list(item_ids), BuildReport() if report is None else report)
 

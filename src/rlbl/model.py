@@ -26,8 +26,9 @@ turns a table of layer positions into each layer's window terms with one
 provider call; one recurrence, _recur, adds W h_prev and the terms in
 offset order, row by row. hidden_path runs them on one anchored chain (the
 BPTT sweep reads its stack back); hidden_chain on every position, n lanes
-to a row. Batched matrix-vector products use stacked ``np.matmul``, which
-gives the bits of one ``A @ z`` each (a 2-D gemm does not).
+to a row (upto lanes when upto < n). Batched matrix-vector products use
+stacked ``np.matmul``, which gives the bits of one ``A @ z`` each (a 2-D
+gemm does not).
 """
 
 from dataclasses import dataclass
@@ -173,14 +174,15 @@ def _recur(W, h0, T):
 
 def hidden_chain(params, seq, upto):
     """Hidden states h_0 .. h_upto as an (upto+1, d) array (h_0 = u0), one row
-    of n lanes (positions s..s+n-1) per recurrence step, with the window terms
-    built _BLOCK_LAYERS positions at a time. The lanes follow the offset axis,
-    as np.add.reduce sums a contiguous axis pairwise (d = 1). The last row's
-    padding lanes repeat position upto and are dropped."""
+    of min(n, upto) lanes (consecutive positions) per recurrence step, with
+    the window terms built _BLOCK_LAYERS positions at a time. The lanes follow
+    the offset axis, as np.add.reduce sums a contiguous axis pairwise (d = 1).
+    The last row's padding lanes repeat position upto and are dropped."""
     _check_position(seq, upto)
-    n, rows = params.n, -(-upto // params.n)
-    step = max(1, _BLOCK_LAYERS // n)  # rows per block
-    P = np.minimum(np.arange(1, rows * n + 1), upto).reshape(rows, n)
+    lanes = max(1, min(params.n, upto))
+    rows = -(-upto // lanes)
+    step = max(1, _BLOCK_LAYERS // lanes)  # rows per block
+    P = np.minimum(np.arange(1, rows * lanes + 1), upto).reshape(rows, lanes)
     Z, states = prefix_products(params, seq, upto), [params.u0[:, None]]
     for r in range(0, rows, step):
         T = _window_terms(params, seq, Z, P[r:r + step])[0]

@@ -175,7 +175,7 @@ def _check_values(path, kind, meta, arrs):
         for key, n in (("user_ids", c["n_users"]), ("item_ids", c["n_items"])):
             ids = c[key]  # predict looks users up by their id string
             if not (isinstance(ids, list) and len(ids) == n
-                    and all(type(x) is str for x in ids) and len(set(ids)) == n):
+                    and set(map(type, ids)) <= {str} and len(set(ids)) == n):
                 raise SnapshotError(f"{path}: meta.corpus.{key} must list {n} distinct string ids")
     for name in KIND_ARRAYS[kind] + (CORPUS_ARRAYS if c is not None else ()):
         shape, letters = arrs[name].shape, SHAPES[name]
@@ -192,7 +192,8 @@ def _check_values(path, kind, meta, arrs):
             raise SnapshotError(f"{path}: corpus arrays are not int64, or corpus_offsets "
                                 f"do not rise from 0 to the {sizes['e']} events")
         for name, n in (("corpus_items", c["n_items"]), ("corpus_behaviors", c["n_behaviors"])):
-            if np.any((arrs[name] < 0) | (arrs[name] >= n)):
+            # one pass: as uint64 a negative id reads above any count
+            if arrs[name].size and int(arrs[name].view(np.uint64).max()) >= n:
                 raise SnapshotError(f"{path}: {name} holds ids outside [0, {n})")
         train_end, valid_end = arrs["corpus_train_end"], arrs["corpus_valid_end"]
         if np.any((train_end < 0) | (train_end > valid_end) | (valid_end > np.diff(off))):

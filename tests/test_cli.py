@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rlbl import cli
+from rlbl import cli, data, ingestion, model, snapshot
 from rlbl.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -96,6 +96,25 @@ def test_predict_outputs_topk(tmp_path, capsys):
     assert len(lines) == 3
     scores = [float(ln.split("\t")[1]) for ln in lines]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_cold_predict_builds_one_user(tmp_path, monkeypatch, capsys):
+    corpus = ingestion.synth_corpus(ingestion.SynthSpec(n_users=50, n_items=20, n_behaviors=2,
+                                                        seq_len_range=(5, 30), rng_seed=3))
+    snap = tmp_path / "model.snap"
+    snapshot.save_snapshot(snap, model.init_rlbl_params(
+        corpus.n_users, corpus.n_items, corpus.n_behaviors, d=3, n=2), corpus)
+    built, user_sequence = [], data.UserSequence
+
+    def counted(*args):
+        built.append(args[0])
+        return user_sequence(*args)
+
+    monkeypatch.setattr(data, "UserSequence", counted)
+    user = corpus.user_ids[37]
+    assert main(["predict", "--snapshot", str(snap), "--user", user, "--behavior", "1"]) == EXIT_OK
+    assert built == [37]
+    assert len(capsys.readouterr().out.splitlines()) == 10
 
 
 def test_predict_unknown_user_is_config_error(tmp_path, capsys):

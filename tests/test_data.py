@@ -12,6 +12,8 @@ from rlbl.data import (
     build_corpus,
     length_bucket,
 )
+from rlbl.model import init_rlbl_params
+from rlbl.snapshot import load_snapshot, save_snapshot
 
 
 def ev(user, item, behavior=0, ts=0):
@@ -162,6 +164,33 @@ def test_build_corpus_matches_per_user_reference(events, split):
         assert seq.user_id == u
         for got, expected in zip((seq.items, seq.behaviors, seq.timestamps), arrays):
             assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_sequences_are_built_once_and_index_like_a_list(tmp_path, source):
+    events = [ev(f"u{u}", f"i{(u * t) % 7}", behavior=t % 3, ts=t)
+              for u, length in enumerate((5, 12, 3, 8)) for t in range(length)]
+    corpus = build_corpus(events)
+    if source == "loaded":
+        save_snapshot(tmp_path / "m.snap", init_rlbl_params(
+            corpus.n_users, corpus.n_items, corpus.n_behaviors, d=2, n=2), corpus)
+        corpus = load_snapshot(tmp_path / "m.snap")[2]
+    want = reference_build_corpus(events, (0.7, 0.1))["sequences"]
+    seqs = corpus.sequences
+
+    def same(seq, u):
+        return seq.user_id == u and all(np.array_equal(got, expected) for got, expected in zip(
+            (seq.items, seq.behaviors, seq.timestamps), want[u]))
+
+    assert len(seqs) == len(want) == corpus.n_users
+    assert seqs[np.int64(1)] is seqs[1] is seqs[-3] and same(seqs[1], 1)
+    assert seqs[-1] is seqs[3] and same(seqs[-1], 3)
+    listed = list(seqs)
+    assert len(listed) == len(want) and all(same(seq, u) for u, seq in enumerate(listed))
+    assert all(seqs[u] is seq for u, seq in enumerate(seqs))
+    for u in (4, -5):
+        with pytest.raises(IndexError):
+            seqs[u]
 
 
 def test_segments_partition_sequence():

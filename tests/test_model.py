@@ -304,6 +304,30 @@ def test_hidden_chain_asks_the_provider_for_bounded_stacks(monkeypatch, n):
     assert max(sizes) <= _BLOCK_LAYERS * n
 
 
+@pytest.mark.parametrize("kind", ["rlbl", "ta-rlbl"])
+@pytest.mark.parametrize("n, upto", [(1, 7), (3, 1), (5, 0), (6, 2), (6, 40), (9, 9), (50, 10),
+                                     (500, 100)])
+def test_hidden_chain_work_is_bounded_by_the_prefix(monkeypatch, kind, n, upto):
+    # a window wider than the prefix does not widen the rows: the provider is
+    # asked for at most 2 x upto x min(n, upto) matrices, whatever n is
+    if kind == "rlbl":
+        params = random_params(d=2, n=n, seed=50 + n)
+        seq = random_seq(params, upto + 3, seed=51)
+    else:
+        params = random_ta_params(d=2, n=n, n_bins=4, seed=50 + n)
+        seq = quarter_hour_seq(params, upto + 3, seed=51)
+    sizes, windows = [], params.windows
+
+    def counted(seq, layers, i):
+        sizes.append(np.broadcast(layers, i).size)
+        return windows(seq, layers, i)
+
+    monkeypatch.setattr(params, "windows", counted)
+    H = hidden_chain(params, seq, upto)
+    assert H.shape == (upto + 1, 2)
+    assert sum(sizes) <= 2 * upto * min(n, upto)
+
+
 @pytest.mark.parametrize("n", [1, 9, 12])
 def test_forward_in_one_dimension_adds_in_order(n):
     # d = 1 makes each layer's terms a column of single numbers, which

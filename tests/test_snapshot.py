@@ -309,6 +309,23 @@ def test_malformed_snapshot_is_snapshot_error(tmp_path, capsys, case):
     assert main(["predict", "--snapshot", str(f), "--user", "user-0", "--behavior", "0"]) == EXIT_IO
 
 
+@pytest.mark.parametrize("name, value", [("corpus_items", "n_items"), ("corpus_items", -1),
+                                         ("corpus_behaviors", "n_behaviors")])
+def test_bad_id_of_a_user_not_predicted_is_snapshot_error(tmp_path, capsys, name, value):
+    # the checks cover every user's events, not only the one a predict reads
+    from rlbl.cli import EXIT_IO, main
+
+    c = small_corpus(seed=8)
+    f = tmp_path / "m.snap"
+    save_snapshot(f, init_rlbl_params(c.n_users, c.n_items, c.n_behaviors, d=3, n=2, seed=8),
+                  corpus=c)
+    header, payload = _split(f.read_bytes())
+    value = getattr(c, value) if isinstance(value, str) else value
+    f.write_bytes(_join(header, _poke(header, payload, name, 35, value)))  # user-3's 6th event
+    assert main(["predict", "--snapshot", str(f), "--user", "user-0", "--behavior", "0"]) == EXIT_IO
+    assert f"{name} holds ids outside" in capsys.readouterr().err
+
+
 def _model(kind, corpus, d, n, seed):
     if kind == "ta-rlbl":
         return init_ta_rlbl_params(corpus.n_users, corpus.n_items, corpus.n_behaviors,
