@@ -231,37 +231,36 @@ def cmd_train(cfg):
         print(f"fitted {cfg['model']['kind']} baseline -> {out_dir / 'model.snap'}")
         return EXIT_OK
 
-    rng = np.random.default_rng(tcfg.rng_seed)
     patience = cfg["train"]["patience"]
     best_map, best_params, since_best = -1.0, copy.deepcopy(params), 0
-    log_lines = ["epoch\tmean_loss\twall_time\tmean_step\tvalid_map\t"
-                 "grad_norm_p50\tgrad_norm_max\tclip_fraction"]
 
-    for epoch in range(tcfg.epochs):
-        rep = training.sgd_epoch(params, corpus, tcfg, rng, epoch=epoch)
+    def on_epoch(epoch, rep):  # True stops the run: `patience` epochs without a new best
+        nonlocal best_map, best_params, since_best
         try:
             valid_map = evaluation.evaluate(scoring.scorer_for(params), corpus, vcfg).map
         except evaluation.EmptyEval:
-            valid_map = float("nan")
-        clipping = [math.nan if x is None else x
-                    for x in (rep.grad_norm_p50, rep.grad_norm_max, rep.clip_fraction)]
-        log_lines.append(f"{epoch}\t{rep.mean_loss:.6f}\t{rep.wall_time:.3f}\t"
-                         f"{rep.mean_step_size:.6g}\t{valid_map:.6f}\t"
-                         + "\t".join(f"{x:.6g}" for x in clipping))
-        print(log_lines[-1])
-        if np.isnan(valid_map) or valid_map > best_map:
-            best_map = -1.0 if np.isnan(valid_map) else valid_map
-            best_params = copy.deepcopy(params)
-            since_best = 0
-        else:
-            since_best += 1
-            if patience is not None and since_best >= patience:
-                print(f"early stop after epoch {epoch} (patience {patience})")
-                break
+            valid_map = math.nan
+        row = (f"{epoch}\t{rep.mean_loss:.6f}\t{rep.wall_time:.3f}\t{rep.mean_step_size:.6g}\t"
+               f"{valid_map:.6f}\t" + "\t".join(
+                   f"{x:.6g}" for x in (rep.grad_norm_p50, rep.grad_norm_max, rep.clip_fraction)))
+        print(row, file=log, flush=True)
+        print(row)
+        if math.isnan(valid_map) or valid_map > best_map:
+            best_map = -1.0 if math.isnan(valid_map) else valid_map
+            best_params, since_best = copy.deepcopy(params), 0
+            return False
+        since_best += 1
+        if patience is not None and since_best >= patience:
+            print(f"early stop after epoch {epoch} (patience {patience})")
+            return True
+        return False
 
+    # each row is written as its epoch ends, so a failed run keeps the epochs it finished
+    with open(out_dir / "train_log.tsv", "w", encoding="utf-8") as log:
+        log.write("epoch\tmean_loss\twall_time\tmean_step\tvalid_map\t"
+                  "grad_norm_p50\tgrad_norm_max\tclip_fraction\n")
+        training.train(params, corpus, tcfg, on_epoch)
     snapshot.save_snapshot(out_dir / "model.snap", best_params, corpus)
-    with open(out_dir / "train_log.tsv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log_lines) + "\n")
     print(f"snapshot -> {out_dir / 'model.snap'}")
     return EXIT_OK
 
@@ -411,7 +410,7 @@ def main(argv=None):
     except (ingestion.IoError, snapshot.SnapshotError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # ConfigError, EmptyCorpus and the range checks
+    except (ValueError, MemoryError) as exc:  # ConfigError, EmptyCorpus, ranges, model sizes
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -186,10 +186,10 @@ class EpochReport:
     mean_step_size: float
     wall_time: float
     # the steps' gradient norms before clipping, and the share of steps
-    # clipped; None for an epoch without steps
-    grad_norm_p50: float | None = None
-    grad_norm_max: float | None = None
-    clip_fraction: float | None = None
+    # clipped; nan for an epoch without steps
+    grad_norm_p50: float = math.nan
+    grad_norm_max: float = math.nan
+    clip_fraction: float = math.nan
 
 
 def bpr_pair_loss(y_pos, y_neg, reg=0.0):
@@ -391,15 +391,16 @@ def sgd_epoch(params, corpus, cfg, rng, epoch=0):
     )
 
 
-def train(params, corpus, cfg, rng=None, on_epoch=None):
-    """Run cfg.epochs SGD epochs; on_epoch(epoch_index, report) after each."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+def train(params, corpus, cfg, on_epoch=None):
+    """Run up to cfg.epochs SGD epochs, all drawing from one rng seeded with
+    cfg.rng_seed; on_epoch(epoch_index, report) runs after each, and a true
+    return stops the run there. Returns the reports of the epochs that ran."""
+    rng = np.random.default_rng(cfg.rng_seed)
     reports = []
     for e in range(cfg.epochs):
         reports.append(sgd_epoch(params, corpus, cfg, rng, epoch=e))
-        if on_epoch is not None:
-            on_epoch(e, reports[-1])
+        if on_epoch is not None and on_epoch(e, reports[-1]):
+            break
     return reports
 
 

@@ -1,11 +1,13 @@
+import dataclasses
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from rlbl import cli, data, ingestion, model, snapshot
+from rlbl import cli, data, evaluation, ingestion, model, snapshot, training
 from rlbl.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -413,6 +415,83 @@ def test_train_section_defaults_are_train_config_defaults(tmp_path, kind):
     assert cli.train_config(cfg) == TrainConfig(epochs=10, rng_seed=4,
                                                 train_behavior_mats=kind != "linear-rnn")
     assert cfg["train"]["patience"] == 5
+
+
+def _trained_snapshot(tmp_path, cfg_path, epochs):
+    """The bytes of a snapshot of the run's corpus and initial parameters
+    trained ``epochs`` epochs through training.train."""
+    cfg = load_config(cfg_path)
+    corpus = cli.load_corpus(cfg)
+    params = cli.init_model(cfg, corpus)
+    training.train(params, corpus, dataclasses.replace(cli.train_config(cfg), epochs=epochs))
+    path = tmp_path / f"reference-{epochs}.snap"
+    snapshot.save_snapshot(path, params, corpus)
+    return path.read_bytes()
+
+
+SCRIPTED_MAPS = [0.2, 0.5, 0.4, 0.3, 0.9]
+
+
+@pytest.mark.parametrize("patience, maps, rows, best_after", [
+    (2, SCRIPTED_MAPS, 4, 2),  # epochs 2 and 3 bring no new best
+    (None, SCRIPTED_MAPS, 5, 5),
+    (2, [None] * 5, 5, 5),  # every validation is empty, and nan counts as a new best
+], ids=["patience-2", "no-early-stop", "empty-validation"])
+def test_model_snap_holds_the_epoch_with_the_best_validation_map(
+        tmp_path, monkeypatch, capsys, patience, maps, rows, best_after):
+    scripted = iter(maps)
+
+    def evaluate(*args):
+        value = next(scripted)
+        if value is None:
+            raise evaluation.EmptyEval("no qualifying test instance")
+        return SimpleNamespace(map=value)
+
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    cfg["train"].update(epochs=5, patience=patience)
+    path = write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(cli.evaluation, "evaluate", evaluate)
+    assert main(["train", "--config", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    log = (tmp_path / "out" / "train_log.tsv").read_text().splitlines()
+    assert len(log) == 1 + rows and out[:rows] == log[1:]
+    assert [line.split("\t")[4] for line in log[1:]] == [
+        "nan" if m is None else f"{m:.6f}" for m in maps[:rows]]
+    stop = [f"early stop after epoch {rows - 1} (patience {patience})"] if rows < 5 else []
+    assert out[rows:] == stop + [f"snapshot -> {tmp_path / 'out' / 'model.snap'}"]
+    assert ((tmp_path / "out" / "model.snap").read_bytes()
+            == _trained_snapshot(tmp_path, path, best_after))
+
+
+def test_failed_run_keeps_the_log_of_the_epochs_it_finished(tmp_path, monkeypatch, capsys):
+    calls, sgd_epoch = [], training.sgd_epoch
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise model.NumericError("non-finite loss")
+        return sgd_epoch(*args, **kwargs)
+
+    monkeypatch.setattr(training, "sgd_epoch", fails_second)
+    assert main(["train", "--config", str(cfg_with_out(tmp_path))]) == EXIT_NUMERIC
+    log = (tmp_path / "out" / "train_log.tsv").read_text().splitlines()
+    assert len(log) == 2 and log[0].startswith("epoch\t")
+    assert log[1] == capsys.readouterr().out.splitlines()[0] and log[1].startswith("0\t")
+    assert not (tmp_path / "out" / "model.snap").exists()
+
+
+# each asks for more than a PiB, which no 64-bit address space grants, so the
+# allocation fails at once without touching memory
+@pytest.mark.parametrize("model_cfg", [{"kind": "ta-rlbl", "n_bins": 10**13},
+                                       {"kind": "rlbl", "n": 10**13}], ids=["n_bins", "n"])
+def test_a_model_larger_than_memory_exits_2_before_any_output(tmp_path, capsys, model_cfg):
+    cfg = yaml.safe_load(yaml.safe_dump(SYNTH_CFG))
+    cfg["out"] = str(tmp_path / "out")
+    cfg["model"].update(model_cfg)
+    assert main(["train", "--config", str(write_cfg(tmp_path, cfg))]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: Unable to allocate ")
+    assert not (tmp_path / "out").exists()
 
 
 def _nan_model_snapshot(tmp_path):

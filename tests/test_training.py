@@ -333,6 +333,25 @@ def test_train_is_deterministic_given_seed():
         assert np.array_equal(getattr(p1, name), getattr(p2, name)), name
 
 
+
+def test_a_true_on_epoch_stops_train_after_that_epoch():
+    c = tiny_corpus(seed=14)
+    cfg = TrainConfig(lam=0.01, learning_rate=0.05, epochs=5, rng_seed=3)
+    stopped, ref, seen = tiny_params(c, seed=14), tiny_params(c, seed=14), []
+    reports = train(stopped, c, cfg, on_epoch=lambda e, rep: seen.append(rep) or e == 1)
+    assert reports == seen and len(reports) == 2
+    train(ref, c, dataclasses.replace(cfg, epochs=2))
+    for name in ("user_vecs", "item_vecs", "W", "C", "M", "u0"):
+        assert np.array_equal(getattr(stopped, name), getattr(ref, name)), name
+
+
+def test_an_epoch_without_steps_reports_nan_gradient_telemetry():
+    c = tiny_corpus(seed=14)
+    c = dataclasses.replace(c, train_end=np.ones(c.n_users, dtype=np.int64))
+    rep = sgd_epoch(tiny_params(c, seed=14), c, TrainConfig(), np.random.default_rng(0))
+    assert rep.n_instances == 0
+    assert all(math.isnan(x) for x in (rep.grad_norm_p50, rep.grad_norm_max, rep.clip_fraction))
+
 def test_train_reduces_mean_loss():
     c = tiny_corpus(n_users=6, length=20, seed=15)
     p = tiny_params(c, seed=15)
